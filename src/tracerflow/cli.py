@@ -1,7 +1,7 @@
 """Command-line front end: config ingestion, orchestration, result emission.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3 a
-validation or acceptance check failed.  Those codes are the only
+Exit codes: 0 success, 1 configuration or output error, 2 numerical failure,
+3 a validation or acceptance check failed.  Those codes are the only
 machine-readable success signal; stderr carries diagnostic prose only.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .chain import (kernel_power_closed_form, kernel_power_profile,
                     ladder_weights, simulate_paths, default_observable)
 from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
                      parse_config)
-from .ergodic import (ObservableSpec, e_property_probe, lln_test, moment_scan,
+from .ergodic import (MOMENT_GRID_DT, ObservableSpec, e_property_probe, lln_test, moment_scan,
                       stability_probe, stationary_norm_moment, summarize_run)
 from .field import (NumericalFailure, SymmetryViolation,
                     modulus_decay_report, ou_covariance_report)
@@ -63,21 +64,21 @@ def _probe_record(cfg, probe: str, params: dict, estimate, stderr) -> str:
     return json.dumps(rec, sort_keys=True)
 
 
+def _write_lines(path: str, lines) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def _write_jsonl(path: str, manifest: RunManifest, lines: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"manifest": asdict(manifest)}) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    _write_lines(path, [json.dumps({"manifest": asdict(manifest)}), *lines])
 
 
-def _write_csv(path: str, manifest: RunManifest, columns: list[str],
-               rows) -> None:
-    with open(path, "w") as fh:
-        for line in manifest.header_lines():
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _write_csv(path: str, manifest: RunManifest, columns: list[str], rows) -> None:
+    head = [f"# {line}" for line in manifest.header_lines()] + [",".join(columns)]
+    _write_lines(path, itertools.chain(head, rows))
 
 
 def _cmd_validate(cfg: ExperimentConfig, out: str, threads: int) -> None:
@@ -158,12 +159,8 @@ def _cmd_tracer(cfg: ExperimentConfig, out: str, threads: int) -> None:
     records = run_trajectory_ensemble(model, sim.T, sim.dt, sim.record_every,
                                       sim.seed, sim.ensemble, threads=threads)
     manifest = _manifest(cfg, sim.ensemble)
-
-    def rows():
-        for rid, rec in enumerate(records):
-            yield from trajectory_csv_rows(rid, rec)
-
-    _write_csv(out, manifest, csv_columns(model.dimension), rows())
+    rows = (row for rid, rec in enumerate(records) for row in trajectory_csv_rows(rid, rec))
+    _write_csv(out, manifest, csv_columns(model.dimension), rows)
     if len(records) >= 2:
         mean, stderr = stokes_drift_estimate(records)
         drift_lines = [_probe_record(
@@ -176,6 +173,8 @@ def _cmd_tracer(cfg: ExperimentConfig, out: str, threads: int) -> None:
 def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
     model = _build_model(cfg)
     sim, pr = cfg.simulation, cfg.probe
+    if round(min(sim.T, 10.0) / MOMENT_GRID_DT) < 1:
+        raise ConfigError(f"simulation.T: {sim.T} rounds to no moment-scan step")
     seed = sim.seed
     psi = ObservableSpec(kind=pr.observable,
                          component=pr.component if pr.observable == "velocity_at_origin" else None,

@@ -24,6 +24,7 @@ from .tracer import TrajectoryRecord
 
 OBSERVABLE_KINDS = ("bounded_lipschitz_of_norm", "velocity_at_origin",
                     "indicator_ball")
+MOMENT_GRID_DT = 0.1
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ class MomentScan:
 
 
 def moment_scan(model: SpectrumModel, R: float, n: int, T: float,
-                ensemble: int, seed: int, grid_dt: float = 0.1) -> MomentScan:
+                ensemble: int, seed: int, grid_dt: float = MOMENT_GRID_DT) -> MomentScan:
     """Ensemble mean of ||V(t)||_{X^m}^{2n} from a worst-case start of norm R.
 
     The start is a fixed random direction scaled to X^m norm R, shared by
@@ -229,6 +230,9 @@ def moment_scan(model: SpectrumModel, R: float, n: int, T: float,
         raise ValueError("n must be >= 1")
     if ensemble < 2:
         raise ValueError("ensemble must be >= 2")
+    n_steps = int(round(T / grid_dt))
+    if n_steps < 1:
+        raise ValueError(f"horizon T={T} rounds to no grid step of {grid_dt}")
     rng = np.random.default_rng(seed)
     direction = sample_stationary(model, rng)
     nrm = sobolev_norm(direction, model.m)
@@ -237,7 +241,6 @@ def moment_scan(model: SpectrumModel, R: float, n: int, T: float,
     start = direction.coeffs * (R / nrm) if R > 0.0 and nrm > 0.0 else \
         np.zeros_like(direction.coeffs)
     cpos = np.tile(start[None, model.pair_pos, :], (ensemble, 1, 1))
-    n_steps = int(round(T / grid_dt))
     times = np.arange(n_steps + 1) * grid_dt
     means = np.empty(n_steps + 1)
     means[0] = float((ens_norm_m(model, cpos) ** (2 * n)).mean())

@@ -120,6 +120,24 @@ def _eval_unchecked(coeffs: np.ndarray, k: np.ndarray, xi: np.ndarray) -> np.nda
     return np.real(np.exp(1j * (k @ xi)) @ coeffs)
 
 
+def _pair_draw(model: SpectrumModel, rng: np.random.Generator,
+               scale: np.ndarray | None, lead_shape: tuple) -> np.ndarray:
+    """Representative half of pair_noise, bitwise equal to the einsum
+    "pij,...pj->...pi" of (re + 1j im) / sqrt(2) (numpy's complex / real is a
+    multiply by 1 / real), summed into zeros one (lead, n_pairs) slab at a time."""
+    z = rng.standard_normal(lead_shape + (model.n_pairs, model.dimension, 2))
+    z *= 1.0 / _SQRT2
+    w = z.view(complex)[..., 0]
+    eta = np.zeros(w.shape, dtype=complex)
+    for i in range(model.dimension):
+        acc = eta[..., i]
+        for j in range(model.dimension):
+            acc += model.sqrt_energy_pos[:, i, j] * w[..., j]
+        if scale is not None:
+            acc *= scale
+    return eta
+
+
 def pair_noise(model: SpectrumModel, rng: np.random.Generator,
                scale: np.ndarray | None = None, lead_shape: tuple = ()) -> np.ndarray:
     """Circular complex Gaussian increment, drawn once per conjugate pair.
@@ -127,16 +145,11 @@ def pair_noise(model: SpectrumModel, rng: np.random.Generator,
     The representative site gets scale^2 * energy(k) as second-moment matrix
     (scale=None means 1); the mirror site gets the conjugate, so the
     resulting field perturbation is real.  Pseudo-covariance is zero by
-    construction.
+    construction.  Draw contract: one rng.standard_normal call of shape
+    lead_shape + (n_pairs, d, 2), consumed in order.
     """
-    npairs = model.n_pairs
-    d = model.dimension
-    z = rng.standard_normal(lead_shape + (npairs, d, 2))
-    w = (z[..., 0] + 1j * z[..., 1]) / _SQRT2
-    eta = np.einsum("pij,...pj->...pi", model.sqrt_energy_pos, w)
-    if scale is not None:
-        eta = eta * scale[:, None]
-    out = np.zeros(lead_shape + (model.size, d), dtype=complex)
+    eta = _pair_draw(model, rng, scale, lead_shape)
+    out = np.zeros(lead_shape + (model.size, model.dimension), dtype=complex)
     out[..., model.pair_pos, :] = eta
     out[..., model.pair_neg, :] = eta.conj()
     return out
@@ -275,7 +288,8 @@ def tangent_step(z: FourierField, u_tan: FourierField, dt: float) -> FourierFiel
 # every operation preserves the mirror symmetry bitwise, so the mirrors are
 # reconstructed only when a full table is needed.  Field values at the origin
 # are 2 Re sum over representatives, squared norms twice the representative
-# sum.
+# sum.  ens_pair_noise draws as pair_noise does: one standard_normal call of
+# shape (members, n_pairs, d, 2), consumed in order.
 
 def ens_tile(f: FourierField, n: int) -> np.ndarray:
     """Stack n copies of the representative slice of f."""
@@ -294,12 +308,7 @@ def ens_origin_value(cpos: np.ndarray) -> np.ndarray:
 def ens_pair_noise(model: SpectrumModel, rng: np.random.Generator,
                    scale: np.ndarray | None, n: int) -> np.ndarray:
     """Representative-slice part of pair_noise (the mirror half is implied)."""
-    z = rng.standard_normal((n, model.n_pairs, model.dimension, 2))
-    w = (z[..., 0] + 1j * z[..., 1]) / _SQRT2
-    eta = np.einsum("pij,...pj->...pi", model.sqrt_energy_pos, w)
-    if scale is not None:
-        eta = eta * scale[:, None]
-    return eta
+    return _pair_draw(model, rng, scale, (n,))
 
 
 def _phase_factor(phase: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -319,7 +328,7 @@ def ens_observation_step(model: SpectrumModel, cpos: np.ndarray, dt: float,
     factor = _phase_factor(phase, model.decay(dt)[model.pair_pos])
     out = cpos * factor[:, :, None]
     if noise is not None:
-        out = out + noise
+        out += noise
     _check_finite(out, "ens_observation_step")
     return out
 

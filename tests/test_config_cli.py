@@ -148,6 +148,31 @@ def test_config_error_exit_code(tmp_path):
     assert "simulation.dt" in res.stderr
 
 
+def assert_one_line_exit_1(res, *needles):
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert all(n in res.stderr for n in needles), res.stderr
+
+
+def test_ergodic_horizon_below_moment_grid_is_config_error(small_cfg, tmp_path):
+    cfg = json.loads(small_cfg.read_text())
+    cfg["simulation"]["T"] = 0.04
+    small_cfg.write_text(json.dumps(cfg))
+    res = run_cli("ergodic", "--config", str(small_cfg), "--out",
+                  str(tmp_path / "e.jsonl"))
+    assert_one_line_exit_1(res, "simulation.T", "0.04")
+
+
+@pytest.mark.parametrize("subcommand, T", [("ergodic", 0.2), ("tracer", 1.0)])
+def test_unwritable_out_is_exit_1(small_cfg, tmp_path, subcommand, T):
+    cfg = json.loads(small_cfg.read_text())
+    cfg["simulation"]["T"] = T
+    small_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "missing" / "out"
+    res = run_cli(subcommand, "--config", str(small_cfg), "--out", str(out))
+    assert_one_line_exit_1(res, "cannot write output", str(out))
+
+
 def test_numerical_failure_exit_code(small_cfg, tmp_path, monkeypatch):
     # the stepping kernels raise NumericalFailure on non-finite states; the
     # front end must turn that into exit code 2

@@ -101,6 +101,11 @@ def test_moment_scan_zero_field_zero_radius():
     assert scan.max_value == 0.0
 
 
+def test_moment_scan_rejects_horizon_without_grid_step(small_model):
+    with pytest.raises(ValueError, match="T=0.04"):
+        moment_scan(small_model, R=1.0, n=1, T=0.04, ensemble=4, seed=1)
+
+
 def test_stationary_moment_closed_form_matches_sampling(default_model):
     m = default_model
     draws = ens_sample_stationary(m, 40000, np.random.default_rng(11))

@@ -6,12 +6,14 @@ from scipy.stats import ks_2samp
 
 from tracerflow import (FourierField, NumericalFailure, OUState,
                         SpectrumError, SymmetryViolation, apply_semigroup,
+                        build_power_law_spectrum,
                         check_conjugate_symmetry, covariance_oracle, evaluate,
                         noiseless_flow_step, observation_step, origin_drift,
                         origin_value, ou_exact_step, sample_stationary,
                         sobolev_norm, spectrum_from_tables, tangent_step,
                         zero_field)
-from tracerflow.field import (ens_norm_m, ens_ou_step, ens_sample_stationary,
+from tracerflow.field import (ens_norm_m, ens_observation_step, ens_ou_step,
+                              ens_pair_noise, ens_sample_stationary,
                               modulus_decay_report, pair_noise)
 from conftest import single_pair_model, zero_energy_model
 
@@ -135,6 +137,50 @@ def test_stationary_pseudo_covariance_vanishes(full_k2_model):
         # entrywise MC scale; 3 sigma on the Frobenius norm
         ent = np.sqrt((np.outer(np.diag(e), np.diag(e)) + np.abs(e) ** 2) / n)
         assert np.linalg.norm(pc) < 3.0 * np.linalg.norm(ent)
+
+
+def _einsum_pair_draw(model, seed, scale, lead_shape):
+    """The representative-slice draw written as the plain formula."""
+    z = np.random.default_rng(seed).standard_normal(
+        lead_shape + (model.n_pairs, model.dimension, 2))
+    w = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    eta = np.einsum("pij,...pj->...pi", model.sqrt_energy_pos, w)
+    return eta if scale is None else eta * scale[:, None]
+
+
+@pytest.mark.parametrize("d, K, projection", [(1, 8, "full"),
+                                              (2, 8, "incompressible"),
+                                              (3, 2, "incompressible")])
+@pytest.mark.parametrize("dt", [None, 0.01])
+def test_pair_draw_is_bitwise_the_einsum_formula(d, K, projection, dt):
+    # incompressible energies have exact zeros, so signed zeros are compared too
+    m = build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0)
+    scale = None if dt is None else m.noise_scale(dt)
+    n = 5
+    ref = _einsum_pair_draw(m, 7, scale, (n,))
+    full = pair_noise(m, np.random.default_rng(7), scale, (n,))
+    ens = ens_pair_noise(m, np.random.default_rng(7), scale, n)
+    assert ens.tobytes() == ref.tobytes()
+    assert full[:, m.pair_pos, :].tobytes() == ens.tobytes()
+    assert full[:, m.pair_neg, :].tobytes() == ens.conj().tobytes()
+    one = pair_noise(m, np.random.default_rng(7), scale)
+    assert one[m.pair_pos].tobytes() == _einsum_pair_draw(m, 7, scale, ()).tobytes()
+
+
+@pytest.mark.parametrize("with_noise", [False, True])
+def test_ens_observation_step_leaves_its_inputs_alone(default_model, with_noise):
+    m = default_model
+    rng = np.random.default_rng(8)
+    cpos = ens_sample_stationary(m, 6, rng)
+    noise = ens_pair_noise(m, rng, m.noise_scale(0.01), 6) if with_noise else None
+    cpos0 = cpos.copy()
+    noise0 = None if noise is None else noise.copy()
+    out = ens_observation_step(m, cpos, 0.01, noise)
+    assert cpos.tobytes() == cpos0.tobytes()
+    if with_noise:
+        assert noise.tobytes() == noise0.tobytes()
+        assert not np.shares_memory(out, noise)
+    assert not np.shares_memory(out, cpos)
 
 
 # ---------------------------------------------------------------- OU stepping
