@@ -40,12 +40,6 @@ def climb_probability(x: float) -> float:
     return math.exp(-1.0 / (x * x))
 
 
-def _step(x: float, u: float) -> float:
-    if x >= 1.0:
-        return x + 1.0 if u < climb_probability(x) else -x
-    return contraction_map(x)
-
-
 def kernel_step(x: float, rng: np.random.Generator) -> float:
     """One transition of the chain from x.
 
@@ -54,23 +48,42 @@ def kernel_step(x: float, rng: np.random.Generator) -> float:
     """
     if x == 0.0:
         raise ValueError("state 0 is outside the chain's state space")
-    return _step(float(x), float(rng.random()))
+    x, u = float(x), float(rng.random())
+    if x >= 1.0:
+        return x + 1.0 if u < climb_probability(x) else -x
+    return contraction_map(x)
+
+
+def _paths(x0: float, n_steps: int, n_paths: int, seed: int):
+    """Yield (states, fell this step) after each of n_steps vectorized steps.
+
+    Both are buffers the next step overwrites.  The branch is an exact blend
+    of the three finite targets with 0/1 masks, each masked-out term a signed zero.
+    """
+    rng, s = np.random.default_rng(seed), np.full(n_paths, float(x0))
+    u, up = np.empty((2, n_paths))
+    ladder, climb, fell = np.empty((3, n_paths), dtype=bool)
+    for _ in range(n_steps):
+        np.greater_equal(s, 1.0, out=ladder)
+        rng.random(out=u)
+        np.maximum(s, 1.0, out=up)    # off the ladder the base is 1; climb is masked below
+        np.exp(np.divide(-1.0, np.square(up, out=up), out=up), out=up)
+        np.logical_and(ladder, np.less(u, up, out=climb), out=climb)
+        np.not_equal(ladder, climb, out=fell)
+        np.add(s, 1.0, out=up)
+        np.subtract(np.multiply(up, -0.5, out=u), 1.0, out=u)  # u = contraction_map(s)
+        np.logical_not(ladder, out=ladder)
+        np.multiply(np.negative(s, out=s), fell, out=s)
+        s += np.multiply(up, climb, out=up)
+        s += np.multiply(u, ladder, out=u)
+        yield s, fell
 
 
 def simulate_paths(x0: float, n_steps: int, n_paths: int, seed: int):
     """Vectorized Monte-Carlo paths; returns (final, ever_fell, visited_gap)."""
-    rng = np.random.default_rng(seed)
-    states = np.full(n_paths, float(x0))
-    ever_fell = np.zeros(n_paths, dtype=bool)
+    states, ever_fell = np.full(n_paths, float(x0)), np.zeros(n_paths, dtype=bool)
     visited_gap = np.abs(states) < 1.0
-    for _ in range(n_steps):
-        on_ladder = states >= 1.0
-        u = rng.random(n_paths)
-        climb = u < np.exp(-1.0 / np.where(on_ladder, states, 1.0) ** 2)
-        fell = on_ladder & ~climb
-        states = np.where(on_ladder,
-                          np.where(climb, states + 1.0, -states),
-                          -(states + 1.0) / 2.0 - 1.0)
+    for states, fell in _paths(x0, n_steps, n_paths, seed):
         ever_fell |= fell
         visited_gap |= np.abs(states) < 1.0
     return states, ever_fell, visited_gap
@@ -132,30 +145,44 @@ class ChainDistribution:
         return math.fsum(p for v, p in self.atoms if predicate(v))
 
 
-def _advance(atoms: dict) -> dict:
-    """Push an atomic law one step through the kernel (gap handled by the
-    deterministic extension); dyadic states merge by exact float equality."""
-    new: dict[float, float] = {}
-    for v, p in atoms.items():
-        if v >= 1.0:
-            q = climb_probability(v)
-            up, down = v + 1.0, -v
-            new[up] = new.get(up, 0.0) + p * q
-            new[down] = new.get(down, 0.0) + p * (1.0 - q)
-        else:
-            w = contraction_map(v)
-            new[w] = new.get(w, 0.0) + p
-    return new
+def _sweep(x: float, n: int, f):
+    """Yield (probabilities, f at the atoms) of the law after 0..n steps from x.
+
+    f, climb probability and successors are computed once per distinct state.
+    Atoms keep first-reached order and merged masses are summed in that order:
+    the float contraction is not injective and the sum order shows in the bits."""
+    index = {float(x): 0}
+    table = np.empty((4, 0))   # per state: f, climb probability, successors (-1: none)
+    atoms, probs = np.zeros(1, dtype=np.intp), np.ones(1)
+    for step in range(n + 1):
+        new = list(index)[table.shape[1]:]   # the states first reached last step
+        up = [index.setdefault(v + 1.0 if v >= 1.0 else contraction_map(v), len(index))
+              for v in new]
+        down = [index.setdefault(-v, len(index)) if v >= 1.0 else -1 for v in new]
+        q = [climb_probability(v) if v >= 1.0 else 1.0 for v in new]
+        table = np.concatenate([table, [list(map(f, new)), q, up, down]], axis=1)
+        fv, q, up, down = table[:, atoms]
+        yield probs, fv
+        if step == n:
+            return
+        dest = np.column_stack([up, down]).ravel().astype(np.intp)
+        w = np.column_stack([probs * q, probs * (1.0 - q)]).ravel()
+        dest, w = dest[dest >= 0], w[dest >= 0]
+        order = np.arange(dest.size)
+        first = np.full(len(index), dest.size)
+        np.minimum.at(first, dest, order)
+        atoms = dest[first[dest] == order]
+        probs = np.bincount(dest, weights=w)[atoms]
 
 
 def exact_distribution(x: float, n: int) -> ChainDistribution:
     """Law of the chain after n steps from x, by forward propagation."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    atoms = {float(x): 1.0}
-    for _ in range(n):
-        atoms = _advance(atoms)
-    return ChainDistribution(sorted(atoms.items()))
+    for probs, values in _sweep(x, n, float):
+        pass
+    order = np.argsort(values)
+    return ChainDistribution(list(zip(values[order].tolist(), probs[order].tolist())))
 
 
 def kernel_power_exact(x: float, n: int, f) -> float:
@@ -166,16 +193,11 @@ def kernel_power_exact(x: float, n: int, f) -> float:
 
 
 def kernel_power_profile(x: float, n_max: int, f) -> np.ndarray:
-    """E[f(X_n)] for every n = 0..n_max in one forward sweep."""
-    if n_max > MAX_EXACT_DEPTH:
-        raise ValueError(f"depth {n_max} exceeds the exact-tree limit {MAX_EXACT_DEPTH}")
-    atoms = {float(x): 1.0}
-    out = np.empty(n_max + 1)
-    out[0] = math.fsum(p * f(v) for v, p in atoms.items())
-    for n in range(1, n_max + 1):
-        atoms = _advance(atoms)
-        out[n] = math.fsum(p * f(v) for v, p in atoms.items())
-    return out
+    """E[f(X_n)] for n = 0..n_max in one sweep; f, a pure function of the
+    state, is evaluated once per distinct state reached."""
+    if not 0 <= n_max <= MAX_EXACT_DEPTH:
+        raise ValueError(f"depth {n_max} outside the exact-tree range [0, {MAX_EXACT_DEPTH}]")
+    return np.array([math.fsum((p * fv).tolist()) for p, fv in _sweep(x, n_max, f)])
 
 
 def kernel_power_closed_form(x: float, n: int, f) -> float:
@@ -211,7 +233,7 @@ def poissonized_semigroup(x: float, t: float, f, tol: float = 1e-10) -> float:
 
     Truncated at N = ceil(t + 10 sqrt(t) + 20); the neglected Poisson tail
     mass is checked against tol (assuming |f| <= 1 scaling; rescale tol for
-    larger observables).
+    larger observables).  f must be a pure function of the state.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -226,12 +248,8 @@ def poissonized_semigroup(x: float, t: float, f, tol: float = 1e-10) -> float:
     tail = 1.0 - float(weights.sum())
     if tail > tol / 2.0:
         raise ValueError(f"Poisson tail {tail:.3g} above tolerance; increase t headroom")
-    atoms = {float(x): 1.0}
-    total = weights[0] * f(x)
-    for n in range(1, n_max + 1):
-        atoms = _advance(atoms)
-        total += weights[n] * math.fsum(p * f(v) for v, p in atoms.items())
-    return float(total)
+    terms = [w * math.fsum((p * fv).tolist()) for w, (p, fv) in zip(weights, _sweep(x, n_max, f))]
+    return float(sum(terms[1:], terms[0]))
 
 
 def default_observable(x: float) -> float:
@@ -269,6 +287,7 @@ def chain_probes(x: float, ys, n_max: int = 40, R: float = 10.0,
         against the ladder survival weight (they agree to roundoff);
     (c) the fraction of mc_paths beyond radius R at n_large against the
         survival limit, with the re-escape surplus reported separately.
+    f must be a pure function of the state.
     """
     if n_max > 40:
         raise ValueError("probe horizon capped at 40")
@@ -278,12 +297,9 @@ def chain_probes(x: float, ys, n_max: int = 40, R: float = 10.0,
         prof = kernel_power_profile(float(y), n_max, f)
         equi[float(y)] = float(np.abs(prof - base).max())
 
-    worst = 0.0
     stay, _ = ladder_weights(x, n_max)
-    atoms = {float(x): 1.0}
-    for n in range(1, n_max + 1):
-        atoms = _advance(atoms)
-        worst = max(worst, abs(atoms.get(x + float(n), 0.0) - stay[n]))
+    worst = max(abs(p[v == x + float(n)].sum() - stay[n])
+                for n, (p, v) in enumerate(_sweep(x, n_max, float)))
 
     finals, fell, gap = simulate_paths(x, n_large, mc_paths, seed)
     escaped = np.abs(finals) > R

@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from ._ensemble import run_trajectory_ensemble
 from ._util import derive_seed
-from .chain import (kernel_power_closed_form, kernel_power_profile,
-                    ladder_weights, simulate_paths, default_observable)
+from .chain import (_paths, kernel_power_closed_form, kernel_power_profile,
+                    ladder_weights, default_observable)
 from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
                      parse_config)
 from .ergodic import (MOMENT_GRID_DT, ObservableSpec, e_property_probe, lln_test, moment_scan,
@@ -171,10 +171,17 @@ def _cmd_tracer(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    model = _build_model(cfg)
     sim, pr = cfg.simulation, cfg.probe
     if round(min(sim.T, 10.0) / MOMENT_GRID_DT) < 1:
         raise ConfigError(f"simulation.T: {sim.T} rounds to no moment-scan step")
+    horizons = [t for t in pr.horizons if t <= sim.T]
+    if len(horizons) >= 2:   # lln_test reads them off runs recorded up to horizons[-1]
+        top = round(horizons[-1] / sim.dt)
+        for t in horizons:
+            k = round(t / sim.dt)
+            if abs(k * sim.dt - t) > 1e-9 * max(1.0, t) or (k % sim.record_every and k != top):
+                raise ConfigError(f"probe.horizons: {t} is off the grid of dt * record_every")
+    model = _build_model(cfg)
     seed = sim.seed
     psi = ObservableSpec(kind=pr.observable,
                          component=pr.component if pr.observable == "velocity_at_origin" else None,
@@ -219,7 +226,6 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
                                    {"offset": float(h), "T": coup.horizon},
                                    float(dval), float(se)))
 
-    horizons = [t for t in pr.horizons if t <= sim.T]
     if len(horizons) >= 2:
         lln = lln_test(model, psi, horizons, ensemble=max(sim.ensemble, 2),
                        seed=derive_seed(seed, 105), dt=sim.dt,
@@ -243,22 +249,13 @@ def _cmd_chain(cfg: ExperimentConfig, out: str, threads: int) -> None:
         stay = ladder_weights(x, n_max)[0] if x >= 1.0 else None
         rng_seed = derive_seed(seed, 200 + xi)
         # one MC sweep records the running mean of f at every horizon
-        states = np.full(pr.mc_paths, float(x))
-        mc_mean = np.empty(n_max + 1)
-        mc_se = np.empty(n_max + 1)
-        rng = np.random.default_rng(rng_seed)
-        vals = np.tanh(states)
+        vals = np.tanh(np.full(pr.mc_paths, float(x)))
+        mc_mean, mc_se = np.empty((2, n_max + 1))
         mc_mean[0], mc_se[0] = vals.mean(), 0.0
-        for n in range(1, n_max + 1):
-            on_ladder = states >= 1.0
-            u = rng.random(pr.mc_paths)
-            climb = u < np.exp(-1.0 / np.where(on_ladder, states, 1.0) ** 2)
-            states = np.where(on_ladder,
-                              np.where(climb, states + 1.0, -states),
-                              -(states + 1.0) / 2.0 - 1.0)
-            vals = np.tanh(states)
-            mc_mean[n] = vals.mean()
-            mc_se[n] = vals.std(ddof=1) / math.sqrt(pr.mc_paths)
+        for n, (states, _) in enumerate(_paths(x, n_max, pr.mc_paths, rng_seed), 1):
+            mc_mean[n] = np.tanh(states, out=vals).mean()   # std(ddof=1) reuses it
+            ss = np.square(np.subtract(vals, mc_mean[n], out=vals), out=vals).sum()
+            mc_se[n] = np.sqrt(ss / (pr.mc_paths - 1)) / math.sqrt(pr.mc_paths)
         for n in range(1, n_max + 1):
             closed = kernel_power_closed_form(x, n, f) if x >= 1.0 else float("nan")
             h_n = float(stay[n]) if stay is not None else float("nan")

@@ -8,6 +8,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from ._util import derive_seed
+from .chain import MAX_EXACT_DEPTH
 
 
 class ConfigError(ValueError):
@@ -184,6 +185,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("simulation.dt: must be positive")
     if sim.T < sim.dt:
         raise ConfigError("simulation.T: must be >= simulation.dt")
+    if abs(round(sim.T / sim.dt) * sim.dt - sim.T) > 1e-9 * sim.T:
+        raise ConfigError(f"simulation.T: {sim.T} is not a multiple of simulation.dt {sim.dt}")
     if sim.ensemble < 1:
         raise ConfigError("simulation.ensemble: must be >= 1")
     if sim.record_every < 1:
@@ -198,6 +201,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("probe.eps: must be positive")
     if len(pr.horizons) >= 2 and sorted(pr.horizons) != list(pr.horizons):
         raise ConfigError("probe.horizons: must be increasing")
+    if not 1 <= pr.chain_n_max <= MAX_EXACT_DEPTH:
+        raise ConfigError(f"probe.chain_n_max: must lie in [1, {MAX_EXACT_DEPTH}]")
+    if pr.mc_paths < 2:
+        raise ConfigError("probe.mc_paths: must be >= 2")
     if out.format not in ("csv", "jsonl"):
         raise ConfigError("output.format: must be csv|jsonl")
 

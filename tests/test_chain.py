@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 from scipy.special import polygamma
 from scipy.stats import poisson
 
+from tracerflow import cli
+from tracerflow._util import derive_seed
+from tracerflow.chain import MAX_EXACT_DEPTH, _sweep
 from tracerflow import (ChainDistribution, chain_probes, climb_probability,
                         contraction_map, exact_distribution, kernel_power_exact,
                         kernel_power_closed_form, kernel_power_profile,
@@ -102,6 +106,9 @@ def test_power_two_steps_hand_formula():
 def test_power_depth_cap():
     with pytest.raises(ValueError):
         kernel_power_exact(1.0, 61, F)
+    for n_max in (-1, 61):
+        with pytest.raises(ValueError):
+            kernel_power_profile(1.0, n_max, F)
 
 
 @pytest.mark.parametrize("x", [1.0, 1.5, 2.0, 3.9])
@@ -223,3 +230,100 @@ def test_probe_flags_gap_visits():
 def test_probe_depth_cap():
     with pytest.raises(ValueError):
         chain_probes(1.0, ys=[1.1], n_max=41)
+
+
+# ---------------------------------------------------------------- oracles
+# Inline copies of the plain dict forward push and the np.where Monte-Carlo
+# loop that the memoised sweep and the buffered step replace; the fast paths
+# must reproduce them byte for byte.
+
+def _dict_advance(atoms):
+    new = {}
+    for v, p in atoms.items():
+        if v >= 1.0:
+            q = climb_probability(v)
+            new[v + 1.0] = new.get(v + 1.0, 0.0) + p * q
+            new[-v] = new.get(-v, 0.0) + p * (1.0 - q)
+        else:
+            w = contraction_map(v)
+            new[w] = new.get(w, 0.0) + p
+    return new
+
+
+def _where_paths(x, n_steps, n_paths, seed):
+    rng = np.random.default_rng(seed)
+    states = np.full(n_paths, float(x))
+    ever_fell = np.zeros(n_paths, dtype=bool)
+    visited_gap = np.abs(states) < 1.0
+    mean, se = [float(np.tanh(states).mean())], [0.0]
+    for _ in range(n_steps):
+        on_ladder = states >= 1.0
+        u = rng.random(n_paths)
+        climb = u < np.exp(-1.0 / np.where(on_ladder, states, 1.0) ** 2)
+        ever_fell |= on_ladder & ~climb
+        states = np.where(on_ladder, np.where(climb, states + 1.0, -states),
+                          -(states + 1.0) / 2.0 - 1.0)
+        visited_gap |= np.abs(states) < 1.0
+        vals = np.tanh(states)
+        mean.append(float(vals.mean()))
+        se.append(float(vals.std(ddof=1) / math.sqrt(n_paths)))
+    return states, ever_fell, visited_gap, mean, se
+
+
+@pytest.mark.parametrize("x", [1.0, 1.5, 2.0, 1.2345, -3.0, 0.5, 7.0])
+def test_sweep_is_the_dict_push_byte_for_byte(x):
+    atoms = {x: 1.0}
+    profile = [F(x)]
+    for n, (probs, values) in enumerate(_sweep(x, MAX_EXACT_DEPTH, float)):
+        if n:
+            atoms = _dict_advance(atoms)
+            profile.append(math.fsum(p * F(v) for v, p in atoms.items()))
+        # the same law to the last bit (the contraction merges three or more
+        # contributions into one state, so the summation order shows), then
+        # the same atom order
+        assert dict(zip(values.tolist(), probs.tolist())) == atoms, n
+        assert values.tolist() == list(atoms), n
+    got = kernel_power_profile(x, MAX_EXACT_DEPTH, F)
+    assert got.tobytes() == np.array(profile).tobytes()
+    assert exact_distribution(x, MAX_EXACT_DEPTH).atoms == sorted(atoms.items())
+
+
+def test_profile_calls_f_once_per_distinct_state():
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return F(v)
+
+    kernel_power_profile(1.5, 30, f)
+    atoms, reached = {1.5: 1.0}, {1.5}
+    for _ in range(30):
+        atoms = _dict_advance(atoms)
+        reached |= set(atoms)
+    assert sorted(calls) == sorted(reached)
+
+
+@pytest.mark.parametrize("x", [1.0, 1.5, 2.0, -3.0, 0.5, 1.2345])
+def test_simulate_paths_is_the_where_loop_byte_for_byte(x):
+    want = _where_paths(x, 40, 5000, seed=17)[:3]
+    got = simulate_paths(x, 40, 5000, seed=17)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    if x == -3.0:   # the contraction sends -3 to the exact 0.0 state
+        assert simulate_paths(x, 1, 10, seed=17)[0].tobytes() == np.zeros(10).tobytes()
+
+
+def test_chain_cli_mc_columns_are_the_where_loop(tmp_path):
+    xs, n_max, paths, seed = [1.0, 1.5, 2.0, -3.0, 0.5, 1.2345], 25, 3000, 31
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed, "probe": {
+        "chain_x": xs, "chain_n_max": n_max, "mc_paths": paths}}))
+    out = tmp_path / "chain.csv"
+    assert cli.main(["chain", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    want = []
+    for xi, x in enumerate(xs):
+        _, _, _, mean, se = _where_paths(x, n_max, paths, derive_seed(seed, 200 + xi))
+        want += [[repr(mean[n]), repr(se[n])] for n in range(1, n_max + 1)]
+    assert [r[4:6] for r in rows] == want

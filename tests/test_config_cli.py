@@ -244,3 +244,42 @@ def test_ergodic_subcommand_probe_records(small_cfg, tmp_path):
     probes = {r["probe"] for r in recs}
     assert {"occupation_fraction", "moment_scan", "stability_probe",
             "e_property", "lln_variance"} <= probes
+
+
+@pytest.mark.parametrize("probe, needle", [
+    ({"chain_n_max": 61}, "probe.chain_n_max"),
+    ({"chain_n_max": 0}, "probe.chain_n_max"),
+    ({"mc_paths": 1}, "probe.mc_paths"),
+], ids=["n_max_61", "n_max_0", "mc_paths_1"])
+def test_chain_probe_out_of_range_is_exit_1(small_cfg, tmp_path, probe, needle):
+    cfg = json.loads(small_cfg.read_text())
+    cfg["probe"].update(probe)
+    small_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "c.csv"
+    res = run_cli("chain", "--config", str(small_cfg), "--out", str(out))
+    assert_one_line_exit_1(res, needle)
+    assert not out.exists()
+
+
+def test_horizon_off_the_step_grid_is_exit_1(small_cfg, tmp_path):
+    # T = 1.0 at dt = 0.3 would simulate to t = 0.9 and report T = 1.0
+    with pytest.raises(ConfigError, match="simulation.T"):
+        parse_config('{"seed": 1, "simulation": {"T": 1.0, "dt": 0.3}}')
+    parse_config('{"seed": 1, "simulation": {"T": 0.9, "dt": 0.3}}')
+    cfg = json.loads(small_cfg.read_text())
+    cfg["simulation"].update(T=1.0, dt=0.3)
+    small_cfg.write_text(json.dumps(cfg))
+    res = run_cli("tracer", "--config", str(small_cfg), "--out", str(tmp_path / "t.csv"))
+    assert_one_line_exit_1(res, "simulation.T", "simulation.dt")
+
+
+def test_lln_horizon_off_the_record_grid_is_exit_1(small_cfg, tmp_path):
+    # 0.5 is step 50, not a multiple of record_every = 3, and not the last step
+    cfg = json.loads(small_cfg.read_text())
+    cfg["simulation"].update(dt=0.01, record_every=3)
+    cfg["probe"]["horizons"] = [0.5, 1.0]
+    small_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "e.jsonl"
+    res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
+    assert_one_line_exit_1(res, "probe.horizons", "0.5")
+    assert not out.exists()
