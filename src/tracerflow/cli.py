@@ -24,8 +24,9 @@ from .chain import (_paths, kernel_power_closed_form, kernel_power_profile,
                     ladder_weights, default_observable)
 from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
                      parse_config)
-from .ergodic import (MOMENT_GRID_DT, ObservableSpec, e_property_probe, lln_test, moment_scan,
-                      stability_probe, stationary_norm_moment, summarize_run)
+from .ergodic import (MOMENT_GRID_DT, OBSERVABLE_KINDS, ObservableSpec,
+                      e_property_probe, lln_test, moment_scan, stability_probe,
+                      stationary_norm_moment, summarize_run)
 from .field import (NumericalFailure, SymmetryViolation,
                     modulus_decay_report, ou_covariance_report)
 from .spectrum import (SpectrumError, build_power_law_spectrum, check_h1,
@@ -171,7 +172,13 @@ def _cmd_tracer(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    sim, pr = cfg.simulation, cfg.probe
+    sim, pr, d = cfg.simulation, cfg.probe, cfg.spectrum.dimension
+    if pr.observable not in OBSERVABLE_KINDS:
+        raise ConfigError(f"probe.observable: must be one of {'|'.join(OBSERVABLE_KINDS)}")
+    if pr.observable == "indicator_ball" and pr.delta is None:
+        raise ConfigError("probe.delta: required by the indicator_ball observable")
+    if pr.observable == "velocity_at_origin" and not 0 <= pr.component < d:
+        raise ConfigError(f"probe.component: {pr.component} is outside [0, {d - 1}]")
     if round(min(sim.T, 10.0) / MOMENT_GRID_DT) < 1:
         raise ConfigError(f"simulation.T: {sim.T} rounds to no moment-scan step")
     horizons = [t for t in pr.horizons if t <= sim.T]

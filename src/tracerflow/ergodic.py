@@ -282,13 +282,13 @@ def stability_probe(model: SpectrumModel, x: FourierField | None, eps: float,
     scale = model.noise_scale(dt)
     for _ in range(n_steps):
         noise = ens_pair_noise(model, rng, scale, ensemble)
-        cpos = ens_observation_step(model, cpos, dt, noise)
+        ens_observation_step(model, cpos, dt, noise, out=cpos)
     dist = ens_norm_m(model, cpos - y.coeffs[None, model.pair_pos, :])
     hits = (dist < eps).astype(float)
     p = float(hits.mean())
     return StabilityReport(probability=p,
                            stderr=float(hits.std(ddof=1) / math.sqrt(ensemble)),
-                           eps=float(eps), horizon=float(T))
+                           eps=float(eps), horizon=n_steps * dt)
 
 
 @dataclass
@@ -332,8 +332,8 @@ def e_property_probe(model: SpectrumModel, x: FourierField | None,
         best_se = float(diff0.std(ddof=1) / math.sqrt(ensemble))
         for step in range(1, n_steps + 1):
             noise = ens_pair_noise(model, pair_rng, scale, ensemble)
-            a = ens_observation_step(model, a, dt, noise)
-            b = ens_observation_step(model, b, dt, noise)
+            ens_observation_step(model, a, dt, noise, out=a)
+            ens_observation_step(model, b, dt, noise, out=b)
             if step % record_stride and step != n_steps:
                 continue
             diff = psi.on_stacked(model, b) - psi.on_stacked(model, a)
@@ -344,7 +344,7 @@ def e_property_probe(model: SpectrumModel, x: FourierField | None,
         profile[oi] = best_gap
         stderrs[oi] = best_se
     return CouplingReport(offsets=offsets, profile=profile, stderr=stderrs,
-                          horizon=float(T))
+                          horizon=n_steps * dt)
 
 
 @dataclass

@@ -302,7 +302,7 @@ def ens_norm_m(model: SpectrumModel, cpos: np.ndarray) -> np.ndarray:
 
 
 def ens_origin_value(cpos: np.ndarray) -> np.ndarray:
-    return 2.0 * cpos.real.sum(axis=-2)
+    return 2.0 * np.einsum("...pd->...d", cpos.real)
 
 
 def ens_pair_noise(model: SpectrumModel, rng: np.random.Generator,
@@ -321,15 +321,23 @@ def _phase_factor(phase: np.ndarray, decay: np.ndarray) -> np.ndarray:
 
 
 def ens_observation_step(model: SpectrumModel, cpos: np.ndarray, dt: float,
-                         noise: np.ndarray | None) -> np.ndarray:
-    """observation_step over stacked representative slices (n, n_pairs, d)."""
+                         noise: np.ndarray | None,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """observation_step over stacked representative slices (n, n_pairs, d).
+
+    The result goes to out (a new array when None), which may be cpos itself:
+    the origin value is taken before anything is written.
+    """
     u = ens_origin_value(cpos)                              # (n, d)
     phase = (u @ model.k_float[model.pair_pos].T) * dt      # (n, n_pairs)
     factor = _phase_factor(phase, model.decay(dt)[model.pair_pos])
-    out = cpos * factor[:, :, None]
+    if out is None:
+        out = np.empty(cpos.shape, dtype=complex)
+    for i in range(cpos.shape[-1]):   # bitwise cpos * factor[:, :, None]
+        np.multiply(cpos[..., i], factor, out=out[..., i])
     if noise is not None:
         out += noise
-    _check_finite(out, "ens_observation_step")
+    _check_finite(out.view(float), "ens_observation_step")
     return out
 
 

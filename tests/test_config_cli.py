@@ -283,3 +283,33 @@ def test_lln_horizon_off_the_record_grid_is_exit_1(small_cfg, tmp_path):
     res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
     assert_one_line_exit_1(res, "probe.horizons", "0.5")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("probe, needle", [
+    ({"observable": "bogus"}, "probe.observable"),
+    ({"observable": "indicator_ball"}, "probe.delta"),
+    ({"observable": "velocity_at_origin", "component": 5}, "probe.component"),
+], ids=["bogus", "ball_without_delta", "component_5_at_d2"])
+def test_ergodic_observable_config_is_exit_1(small_cfg, tmp_path, probe, needle):
+    cfg = json.loads(small_cfg.read_text())
+    cfg["probe"].update(probe)
+    small_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "e.jsonl"
+    res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
+    assert_one_line_exit_1(res, needle)
+    assert not out.exists()
+
+
+def test_ergodic_probe_records_carry_the_simulated_horizon(small_cfg, tmp_path):
+    # the probes run to min(T, 2.0) = 2.0, which rounds to 7 steps of 0.3
+    cfg = json.loads(small_cfg.read_text())
+    cfg["simulation"].update(T=3.0, dt=0.3)
+    cfg["probe"].update(observable="velocity_at_origin", component=1, horizons=[])
+    small_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "e.jsonl"
+    res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    recs = [json.loads(ln) for ln in body_of(out)]
+    probed = [r for r in recs if r["probe"] in ("stability_probe", "e_property")]
+    assert len(probed) == 3
+    assert {r["params"]["T"] for r in probed} == {7 * 0.3}

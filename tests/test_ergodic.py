@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from tracerflow import (FourierField, ObservableSpec, e_property_probe,
-                        lln_test, moment_scan, occupation_fraction,
-                        run_lagrangian, sample_stationary, sobolev_norm,
-                        stability_probe, stationary_norm_moment, time_average,
-                        zero_field)
-from tracerflow.ergodic import time_average_with_stderr
-from tracerflow.field import ens_norm_m, ens_sample_stationary
+from tracerflow import (FourierField, ObservableSpec, build_power_law_spectrum,
+                        e_property_probe, lln_test, moment_scan,
+                        occupation_fraction, run_lagrangian, sample_stationary,
+                        sobolev_norm, stability_probe, stationary_norm_moment,
+                        time_average, zero_field)
+from tracerflow._util import derive_seed
+from tracerflow.ergodic import _unit_direction, time_average_with_stderr
+from tracerflow.field import (_phase_factor, ens_norm_m, ens_pair_noise,
+                              ens_sample_stationary, ens_tile)
 from conftest import zero_energy_model, single_pair_model
 
 TANH_NORM = ObservableSpec("bounded_lipschitz_of_norm")
@@ -240,3 +242,87 @@ def test_coupling_offsets_must_decrease(small_model):
     with pytest.raises(ValueError):
         e_property_probe(small_model, None, [0.25, 0.5], TANH_NORM, T=0.1,
                          ensemble=4, seed=25, dt=0.01)
+
+
+# ------------------------------------------- in-place probes vs the old loops
+
+def _allocating_observation_step(model, cpos, dt, noise):
+    """The stacked observation step as it was written before it could step
+    in place: a fresh array per call, one broadcast multiply."""
+    u = 2.0 * cpos.real.sum(axis=-2)
+    phase = (u @ model.k_float[model.pair_pos].T) * dt
+    out = cpos * _phase_factor(phase, model.decay(dt)[model.pair_pos])[:, :, None]
+    if noise is not None:
+        out += noise
+    return out
+
+
+def _allocating_stability(model, eps, T, ensemble, seed, dt):
+    rng = np.random.default_rng(seed)
+    x = zero_field(model)
+    n_steps = int(round(T / dt))
+    cpos = ens_tile(x, ensemble)
+    for _ in range(n_steps):
+        noise = ens_pair_noise(model, rng, model.noise_scale(dt), ensemble)
+        cpos = _allocating_observation_step(model, cpos, dt, noise)
+    dist = ens_norm_m(model, cpos)   # the noiseless flow stays at the zero field
+    hits = (dist < eps).astype(float)
+    return hits.mean(), hits.std(ddof=1) / math.sqrt(ensemble), dist
+
+
+def _allocating_coupling(model, offsets, psi, T, ensemble, seed, dt, stride):
+    rng = np.random.default_rng(seed)
+    direction = _unit_direction(model, rng)
+    n_steps = int(round(T / dt))
+    profile, stderrs = [], []
+    for oi, h in enumerate(offsets):
+        pair_rng = np.random.default_rng(derive_seed(seed, oi + 1))
+        a = ens_tile(zero_field(model), ensemble)
+        b = ens_tile(FourierField(model, h * direction.coeffs), ensemble)
+        diff0 = psi.on_stacked(model, b) - psi.on_stacked(model, a)
+        best_gap = abs(float(diff0.mean()))
+        best_se = float(diff0.std(ddof=1) / math.sqrt(ensemble))
+        for step in range(1, n_steps + 1):
+            noise = ens_pair_noise(model, pair_rng, model.noise_scale(dt), ensemble)
+            a = _allocating_observation_step(model, a, dt, noise)
+            b = _allocating_observation_step(model, b, dt, noise)
+            if step % stride and step != n_steps:
+                continue
+            diff = psi.on_stacked(model, b) - psi.on_stacked(model, a)
+            gap = abs(float(diff.mean()))
+            if gap > best_gap:
+                best_gap = gap
+                best_se = float(diff.std(ddof=1) / math.sqrt(ensemble))
+        profile.append(best_gap)
+        stderrs.append(best_se)
+    return np.array(profile), np.array(stderrs)
+
+
+@pytest.mark.parametrize("d, K", [(2, 4), (3, 2)])
+def test_probes_are_the_allocating_loops_byte_for_byte(d, K):
+    m = build_power_law_spectrum(d, K, 1.0, 14.0, "incompressible", 1.0, 2.0)
+    T, dt, n = 0.3, 0.01, 60
+    _, _, dist = _allocating_stability(m, 1.0, T, n, 31, dt)
+    eps = float(np.median(dist))   # half the members inside, so drift moves some across
+    p, se, _ = _allocating_stability(m, eps, T, n, 31, dt)
+    rep = stability_probe(m, None, eps, T=T, ensemble=n, seed=31, dt=dt)
+    assert (rep.probability, rep.stderr) == (p, se)
+    # the velocity gap peaks at t = 0 here; the ball, which holds both starts,
+    # has its gap later, so the profile depends on the steps
+    ball = ObservableSpec("indicator_ball",
+                          delta=0.5 * math.sqrt(stationary_norm_moment(m, 1)))
+    offsets = [1.0, 0.3, 0.0]
+    for psi in (ObservableSpec("velocity_at_origin", component=1), ball):
+        profile, stderr = _allocating_coupling(m, offsets, psi, T, n, 32, dt, 5)
+        coup = e_property_probe(m, None, offsets, psi, T=T, ensemble=n, seed=32,
+                                dt=dt, record_stride=5)
+        assert coup.profile.tobytes() == profile.tobytes()
+        assert coup.stderr.tobytes() == stderr.tobytes()
+
+
+def test_probes_report_the_horizon_they_simulate(small_model):
+    # T = 0.2 at dt = 0.03 rounds to 7 steps, i.e. t = 0.21
+    rep = stability_probe(small_model, None, 1e9, T=0.2, ensemble=4, seed=33, dt=0.03)
+    coup = e_property_probe(small_model, None, [0.5], TANH_NORM, T=0.2,
+                            ensemble=4, seed=34, dt=0.03)
+    assert rep.horizon == coup.horizon == 7 * 0.03

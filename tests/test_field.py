@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from tracerflow import (FourierField, NumericalFailure, OUState,
@@ -12,9 +14,10 @@ from tracerflow import (FourierField, NumericalFailure, OUState,
                         origin_value, ou_exact_step, sample_stationary,
                         sobolev_norm, spectrum_from_tables, tangent_step,
                         zero_field)
-from tracerflow.field import (ens_norm_m, ens_observation_step, ens_ou_step,
-                              ens_pair_noise, ens_sample_stationary,
-                              modulus_decay_report, pair_noise)
+from tracerflow.field import (_phase_factor, ens_norm_m, ens_observation_step,
+                              ens_origin_value, ens_ou_step, ens_pair_noise,
+                              ens_sample_stationary, modulus_decay_report,
+                              pair_noise)
 from conftest import single_pair_model, zero_energy_model
 
 
@@ -181,6 +184,50 @@ def test_ens_observation_step_leaves_its_inputs_alone(default_model, with_noise)
         assert noise.tobytes() == noise0.tobytes()
         assert not np.shares_memory(out, noise)
     assert not np.shares_memory(out, cpos)
+
+
+@functools.lru_cache(maxsize=None)
+def _model_of_dimension(d):
+    # 8, 40 and 62 pairs; d = 1 has enough pairs for numpy's pairwise sum
+    K, projection = {1: (8, "full"), 2: (4, "incompressible"),
+                     3: (2, "incompressible")}[d]
+    return build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), n=st.integers(1, 40),
+       with_noise=st.booleans(), dt=st.sampled_from([1e-3, 0.01, 0.3]),
+       amplitude=st.sampled_from([1.0, 30.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_ens_observation_step_in_place_is_the_out_of_place_step(
+        d, n, with_noise, dt, amplitude, seed):
+    m = _model_of_dimension(d)
+    rng = np.random.default_rng(seed)
+    cpos = amplitude * ens_sample_stationary(m, n, rng)
+    noise = ens_pair_noise(m, rng, m.noise_scale(dt), n) if with_noise else None
+    ref = ens_observation_step(m, cpos, dt, noise)
+    # the per-component multiply is the broadcast multiply, bit for bit
+    phase = (ens_origin_value(cpos) @ m.k_float[m.pair_pos].T) * dt
+    broadcast = cpos * _phase_factor(phase, m.decay(dt)[m.pair_pos])[:, :, None]
+    if with_noise:
+        broadcast += noise
+    assert ref.tobytes() == broadcast.tobytes()
+    state = cpos.copy()
+    got = ens_observation_step(m, state, dt, noise, out=state)
+    assert got is state
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ens_origin_value_is_twice_the_real_sum(d):
+    cpos = np.random.default_rng(d).standard_normal((500, 40, d, 2)).view(complex)[..., 0]
+    got = ens_origin_value(cpos)
+    plain = 2.0 * cpos.real.sum(axis=-2)
+    if d >= 2:
+        assert got.tobytes() == plain.tobytes()
+    else:
+        # sequential against pairwise summation: both are roundings of one sum
+        bound = 2.0 * 40 * np.finfo(float).eps * np.abs(cpos.real).sum(axis=-2)
+        assert np.all(np.abs(got - plain) <= bound)
 
 
 # ---------------------------------------------------------------- OU stepping
