@@ -5,11 +5,11 @@ __version__ = "0.1.0"
 from .spectrum import (ModeSpec, SpectrumModel, SpectrumError,
                        build_power_law_spectrum, spectrum_from_tables,
                        gamma_star, check_h1, check_h2, h2_tail_bound)
-from .field import (FourierField, OUState, NumericalFailure, SymmetryViolation,
-                    zero_field, sobolev_norm, apply_semigroup, evaluate,
-                    origin_value, sample_stationary, ou_exact_step,
-                    covariance_oracle, origin_drift, noiseless_flow_step,
-                    observation_step, tangent_step, check_conjugate_symmetry)
+from .field import (FourierField, OUState, NumericalFailure, zero_field,
+                    sobolev_norm, apply_semigroup, evaluate, origin_value,
+                    sample_stationary, ou_exact_step, covariance_oracle,
+                    origin_drift, noiseless_flow_step, observation_step,
+                    tangent_step)
 from .tracer import (TracerState, TrajectoryRecord, shift_field, advect_step,
                      run_lagrangian, stokes_drift_estimate,
                      displacement_identity_gap)

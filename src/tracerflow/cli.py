@@ -27,8 +27,7 @@ from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
 from .ergodic import (MOMENT_GRID_DT, OBSERVABLE_KINDS, ObservableSpec,
                       e_property_probe, lln_test, moment_scan, stability_probe,
                       stationary_norm_moment, summarize_run)
-from .field import (NumericalFailure, SymmetryViolation,
-                    modulus_decay_report, ou_covariance_report)
+from .field import NumericalFailure, modulus_decay_report, ou_covariance_report
 from .spectrum import (SpectrumError, build_power_law_spectrum, check_h1,
                        check_h2, gamma_star, h2_tail_bound)
 from .tracer import (csv_columns, run_lagrangian, stokes_drift_estimate,
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
     except (ConfigError, SpectrumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, SymmetryViolation) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

@@ -53,21 +53,14 @@ class ProbeConfig:
 
 
 @dataclass
-class OutputConfig:
-    format: str = "csv"
-    path: str | None = None
-
-
-@dataclass
 class ExperimentConfig:
     spectrum: SpectrumConfig = field(default_factory=SpectrumConfig)
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
 
 
 _SECTION_TYPES = {"spectrum": SpectrumConfig, "simulation": SimulationConfig,
-                  "probe": ProbeConfig, "output": OutputConfig}
+                  "probe": ProbeConfig}
 
 # Documented top-level shorthands for quick configs.
 _SHORTHAND = {"dimension": ("spectrum", "dimension"),
@@ -113,10 +106,9 @@ _FIELD_TYPES = {
     "probe": {"observable": str, "component": int, "delta": float,
               "eps": float, "offsets": list, "horizons": list, "R": float,
               "n": int, "chain_x": list, "chain_n_max": int, "mc_paths": int},
-    "output": {"format": str, "path": str},
 }
 
-_OPTIONAL_NONE = {("probe", "delta"), ("probe", "eps"), ("output", "path")}
+_OPTIONAL_NONE = {("probe", "delta"), ("probe", "eps")}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -164,7 +156,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    sp, sim, pr, out = cfg.spectrum, cfg.simulation, cfg.probe, cfg.output
+    sp, sim, pr = cfg.spectrum, cfg.simulation, cfg.probe
     if sp.dimension < 1:
         raise ConfigError("spectrum.dimension: must be >= 1")
     if sp.truncation < 1:
@@ -177,6 +169,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("spectrum.gamma_power: must be >= 1")
     if sp.projection not in ("full", "incompressible", "potential"):
         raise ConfigError("spectrum.projection: must be full|incompressible|potential")
+    if sp.projection == "incompressible" and sp.dimension < 2:
+        # the projector orthogonal to k is zero in 1-D: a field without energy
+        raise ConfigError("spectrum.projection: incompressible needs spectrum.dimension >= 2")
     if not 0 < sp.alpha < 1:
         raise ConfigError("spectrum.alpha: must lie in (0, 1)")
     if sp.m < 1:
@@ -193,20 +188,24 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("simulation.record_every: must be >= 1")
     if sim.seed is None:
         raise ConfigError("simulation.seed: required (wall-clock seeding is not allowed)")
+    if sim.seed < 0:
+        raise ConfigError("simulation.seed: must be >= 0")
     if pr.n < 1:
         raise ConfigError("probe.n: must be >= 1")
     if pr.delta is not None and pr.delta <= 0:
         raise ConfigError("probe.delta: must be positive")
     if pr.eps is not None and pr.eps <= 0:
         raise ConfigError("probe.eps: must be positive")
+    if any(h < 0 for h in pr.offsets) or sorted(pr.offsets, reverse=True) != pr.offsets:
+        raise ConfigError("probe.offsets: must be nonnegative and non-increasing")
+    if any(t <= 0 for t in pr.horizons):
+        raise ConfigError("probe.horizons: must be positive")
     if len(pr.horizons) >= 2 and sorted(pr.horizons) != list(pr.horizons):
         raise ConfigError("probe.horizons: must be increasing")
     if not 1 <= pr.chain_n_max <= MAX_EXACT_DEPTH:
         raise ConfigError(f"probe.chain_n_max: must lie in [1, {MAX_EXACT_DEPTH}]")
     if pr.mc_paths < 2:
         raise ConfigError("probe.mc_paths: must be >= 2")
-    if out.format not in ("csv", "jsonl"):
-        raise ConfigError("output.format: must be csv|jsonl")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

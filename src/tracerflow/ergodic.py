@@ -16,10 +16,9 @@ import numpy as np
 
 from ._util import derive_seed
 from .spectrum import SpectrumModel
-from .field import (FourierField, ens_norm_m, ens_observation_step,
-                    ens_origin_value, ens_ou_step, ens_pair_noise, ens_tile,
-                    noiseless_flow_step, sample_stationary, sobolev_norm,
-                    zero_field)
+from .field import (FourierField, ens_norm_m, ens_observation_step, ens_ou_step,
+                    ens_pair_noise, ens_tile, noiseless_flow_step, origin_value,
+                    sample_stationary, sobolev_norm, zero_field)
 from .tracer import TrajectoryRecord
 
 OBSERVABLE_KINDS = ("bounded_lipschitz_of_norm", "velocity_at_origin",
@@ -68,10 +67,10 @@ class ObservableSpec:
     def on_stacked(self, model: SpectrumModel, cpos: np.ndarray) -> np.ndarray:
         """Evaluate on stacked representative slices (members, n_pairs, d)."""
         if self.kind == "velocity_at_origin":
-            vals = ens_origin_value(cpos)
+            vals = origin_value(FourierField(model, cpos))
             return vals if self.component is None else vals[..., self.component]
         if self.kind == "indicator_ball" and not _is_zero_center(self.center):
-            dist = ens_norm_m(model, cpos - self.center.coeffs[model.pair_pos])
+            dist = ens_norm_m(model, cpos - self.center.coeffs)
             return (dist < self.delta).astype(float)
         return self.from_norm(ens_norm_m(model, cpos))
 
@@ -87,12 +86,9 @@ def _unit_direction(model: SpectrumModel, rng: np.random.Generator) -> FourierFi
     nrm = sobolev_norm(f, model.m)
     if nrm > 0.0:
         return FourierField(f.model, f.coeffs / nrm)
-    c = np.zeros((model.size, model.dimension), dtype=complex)
-    i = model.pair_pos[0]
-    c[i, 0] = 1.0
-    c[model.pair_neg[0], 0] = 1.0
-    f = FourierField(model, c)
-    return FourierField(model, c / sobolev_norm(f, model.m))
+    f = zero_field(model)
+    f.coeffs[0, 0] = 1.0
+    return FourierField(model, f.coeffs / sobolev_norm(f, model.m))
 
 
 def time_average(record: TrajectoryRecord, psi: ObservableSpec):
@@ -240,7 +236,7 @@ def moment_scan(model: SpectrumModel, R: float, n: int, T: float,
         raise ValueError("cannot scale a zero direction to positive radius")
     start = direction.coeffs * (R / nrm) if R > 0.0 and nrm > 0.0 else \
         np.zeros_like(direction.coeffs)
-    cpos = np.tile(start[None, model.pair_pos, :], (ensemble, 1, 1))
+    cpos = np.tile(start[None], (ensemble, 1, 1))
     times = np.arange(n_steps + 1) * grid_dt
     means = np.empty(n_steps + 1)
     means[0] = float((ens_norm_m(model, cpos) ** (2 * n)).mean())
@@ -283,7 +279,7 @@ def stability_probe(model: SpectrumModel, x: FourierField | None, eps: float,
     for _ in range(n_steps):
         noise = ens_pair_noise(model, rng, scale, ensemble)
         ens_observation_step(model, cpos, dt, noise, out=cpos)
-    dist = ens_norm_m(model, cpos - y.coeffs[None, model.pair_pos, :])
+    dist = ens_norm_m(model, cpos - y.coeffs)
     hits = (dist < eps).astype(float)
     p = float(hits.mean())
     return StabilityReport(probability=p,

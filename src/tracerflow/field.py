@@ -1,14 +1,16 @@
 """Fourier-space fields on the torus and their exact / Galerkin dynamics.
 
-A field is the coefficient table of a real d-vector field
-
-    V(xi) = sum_k c(k) e^{i k.xi},   c(-k) = conj(c(k)),
-
-over the sites of a :class:`~tracerflow.spectrum.SpectrumModel`.  The module
-provides the Sobolev norms, the decay semigroup, exact Ornstein-Uhlenbeck
-stepping (one step equals the continuous transition kernel in law, for any
-step size), the noiseless observation flow, the Galerkin splitting step for
-the noisy observation process, and its tangent (first-variation) flow.
+A real d-vector field V(xi) = sum_k c(k) e^{i k.xi}, c(-k) = conj(c(k)), over
+the sites of a :class:`~tracerflow.spectrum.SpectrumModel` (which has no k = 0
+site) is stored as one coefficient per conjugate pair: the representatives
+c(k) at k = model.k_pos.  The mirrors are implied, so fields are real by
+construction and a sum over all sites is 2 Re of the representative sum.
+Every kernel takes coefficients of shape (..., n_pairs, d), one field or a
+stack of members.  The module provides the Sobolev norms, the decay
+semigroup, exact Ornstein-Uhlenbeck stepping (one step equals the continuous
+transition kernel in law, for any step size), the noiseless observation
+flow, the Galerkin splitting step for the noisy observation process, and its
+tangent (first-variation) flow.
 
 Stiff handling: per mode the linear part contributes an exact factor
 exp(-gamma(k) dt), so the Runge-Kutta stages here act on the integrating-
@@ -32,19 +34,13 @@ class NumericalFailure(RuntimeError):
     """Non-finite state detected during time stepping."""
 
 
-class SymmetryViolation(RuntimeError):
-    """Conjugate symmetry of the coefficients is broken beyond tolerance."""
-
-
 @dataclass
 class FourierField:
-    """Coefficient table of a real vector field; value semantics."""
+    """Real vector field: row p of coeffs is c(k) at k = model.k_pos[p], the
+    mirror c(-k) = conj(c(k)) is implied; leading axes index members."""
 
     model: SpectrumModel
-    coeffs: np.ndarray  # (size, d) complex
-
-    def copy(self) -> "FourierField":
-        return FourierField(self.model, self.coeffs.copy())
+    coeffs: np.ndarray  # (..., n_pairs, d) complex
 
 
 @dataclass
@@ -56,7 +52,7 @@ class OUState:
 
 
 def zero_field(model: SpectrumModel) -> FourierField:
-    return FourierField(model, np.zeros((model.size, model.dimension), dtype=complex))
+    return FourierField(model, np.zeros((model.n_pairs, model.dimension), dtype=complex))
 
 
 def _require_same_model(a: FourierField, b: FourierField) -> None:
@@ -64,25 +60,21 @@ def _require_same_model(a: FourierField, b: FourierField) -> None:
         raise ValueError("fields belong to different spectrum models")
 
 
-def check_conjugate_symmetry(f: FourierField, tol: float = 1e-12) -> None:
-    """Raise unless c(-k) == conj(c(k)) within tol (relative to max |c|)."""
-    c = f.coeffs
-    if not np.all(np.isfinite(c)):
-        raise NumericalFailure("non-finite field coefficients")
-    dev = np.abs(c[f.model.pair_neg] - c[f.model.pair_pos].conj()).max(initial=0.0)
-    if dev > tol * (1.0 + np.abs(c).max(initial=0.0)):
-        raise SymmetryViolation(f"conjugate symmetry broken by {dev:.3g}")
-
-
 def _check_finite(coeffs: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(coeffs)):
         raise NumericalFailure(f"non-finite coefficients after {what}")
 
 
-def sobolev_norm(f: FourierField, r: float) -> float:
-    """X^r norm: sqrt(sum_k |k|^{2r} |c(k)|^2)."""
-    w = f.model.sobolev_weight(r)
-    return float(np.sqrt((w * (np.abs(f.coeffs) ** 2).sum(axis=1)).sum()))
+def _norm(model: SpectrumModel, coeffs: np.ndarray, r: float) -> np.ndarray:
+    """X^r norm over the leading axes; each representative stands for two sites."""
+    w = model.sobolev_weight(r)[model.pair_pos]
+    return np.sqrt(2.0 * ((np.abs(coeffs) ** 2).sum(axis=-1) * w).sum(axis=-1))
+
+
+def sobolev_norm(f: FourierField, r: float) -> float | np.ndarray:
+    """X^r norm: sqrt(sum_k |k|^{2r} |c(k)|^2) over every lattice site (one
+    value per member of a stacked field)."""
+    return _norm(f.model, f.coeffs, r)
 
 
 def apply_semigroup(f: FourierField, t: float) -> FourierField:
@@ -93,38 +85,33 @@ def apply_semigroup(f: FourierField, t: float) -> FourierField:
 
 
 def origin_value(f: FourierField) -> np.ndarray:
-    """Field value at xi = 0 (all phases are 1); symmetric tables give a real sum."""
-    return np.real(f.coeffs.sum(axis=0))
+    """Field value at xi = 0 (all phases are 1): 2 Re of the representative sum."""
+    return 2.0 * np.einsum("...pd->...d", f.coeffs.real)
+
+
+def _eval(coeffs: np.ndarray, k: np.ndarray, xi: np.ndarray, jacobian: bool = False):
+    """2 Re sum_p c_p e^{i k_p.xi}, and with jacobian its derivative in xi."""
+    phases = np.exp(1j * (k @ xi))
+    value = 2.0 * (phases @ coeffs).real
+    if not jacobian:
+        return value
+    return value, -2.0 * ((coeffs * phases[:, None]).mT @ k).imag
 
 
 def evaluate(f: FourierField, xi, jacobian: bool = False):
     """Trigonometric synthesis of the field (and optionally its Jacobian) at xi.
 
-    Exact at off-grid points; cost O(size).  Raises SymmetryViolation when
-    the imaginary residue of the sum exceeds 1e-10 * ||f||_{X^0}.
+    Exact at off-grid points; cost O(n_pairs).  The sum runs over the
+    representatives and takes twice its real part, so the value is real.
     """
-    xi = np.asarray(xi, dtype=float)
-    k = f.model.wavevectors
-    phases = np.exp(1j * (k @ xi))
-    raw = phases @ f.coeffs
-    scale = float(np.sqrt((np.abs(f.coeffs) ** 2).sum()))
-    if np.abs(raw.imag).max(initial=0.0) > 1e-10 * scale:
-        raise SymmetryViolation("imaginary residue in point evaluation")
-    if not jacobian:
-        return raw.real
-    jac = np.real(1j * ((f.coeffs * phases[:, None]).T @ k.astype(float)))
-    return raw.real, jac
-
-
-def _eval_unchecked(coeffs: np.ndarray, k: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    return np.real(np.exp(1j * (k @ xi)) @ coeffs)
+    return _eval(f.coeffs, f.model.k_pos, np.asarray(xi, dtype=float), jacobian)
 
 
 def _pair_draw(model: SpectrumModel, rng: np.random.Generator,
                scale: np.ndarray | None, lead_shape: tuple) -> np.ndarray:
-    """Representative half of pair_noise, bitwise equal to the einsum
-    "pij,...pj->...pi" of (re + 1j im) / sqrt(2) (numpy's complex / real is a
-    multiply by 1 / real), summed into zeros one (lead, n_pairs) slab at a time."""
+    """The pair-noise draw, bitwise equal to the einsum "pij,...pj->...pi" of
+    (re + 1j im) / sqrt(2) (numpy's complex / real is a multiply by
+    1 / real), summed into zeros one (lead, n_pairs) slab at a time."""
     z = rng.standard_normal(lead_shape + (model.n_pairs, model.dimension, 2))
     z *= 1.0 / _SQRT2
     w = z.view(complex)[..., 0]
@@ -142,22 +129,25 @@ def pair_noise(model: SpectrumModel, rng: np.random.Generator,
                scale: np.ndarray | None = None, lead_shape: tuple = ()) -> np.ndarray:
     """Circular complex Gaussian increment, drawn once per conjugate pair.
 
-    The representative site gets scale^2 * energy(k) as second-moment matrix
-    (scale=None means 1); the mirror site gets the conjugate, so the
-    resulting field perturbation is real.  Pseudo-covariance is zero by
-    construction.  Draw contract: one rng.standard_normal call of shape
-    lead_shape + (n_pairs, d, 2), consumed in order.
+    Shape lead_shape + (n_pairs, d).  Each representative gets
+    scale^2 * energy(k) as second-moment matrix (scale=None means 1); the
+    mirror is implied, so the field perturbation is real.  Pseudo-covariance
+    is zero by construction.  Draw contract: one rng.standard_normal call of
+    shape lead_shape + (n_pairs, d, 2), consumed in order.
     """
-    eta = _pair_draw(model, rng, scale, lead_shape)
-    out = np.zeros(lead_shape + (model.size, model.dimension), dtype=complex)
-    out[..., model.pair_pos, :] = eta
-    out[..., model.pair_neg, :] = eta.conj()
-    return out
+    return _pair_draw(model, rng, scale, lead_shape)
 
 
 def sample_stationary(model: SpectrumModel, rng: np.random.Generator) -> FourierField:
     """Draw from the invariant law: per-pair circular Gaussian with second moment energy(k)."""
     return FourierField(model, pair_noise(model, rng))
+
+
+def _ou(model: SpectrumModel, coeffs: np.ndarray, dt: float,
+        noise: np.ndarray) -> np.ndarray:
+    new = coeffs * model.decay(dt)[:, None] + noise
+    _check_finite(new, "an exact OU step")
+    return new
 
 
 def ou_exact_step(state: OUState, dt: float, rng: np.random.Generator) -> OUState:
@@ -169,11 +159,10 @@ def ou_exact_step(state: OUState, dt: float, rng: np.random.Generator) -> OUStat
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    m = state.field.model
-    new = state.field.coeffs * m.decay(dt)[:, None] + \
-        pair_noise(m, rng, scale=m.noise_scale(dt))
-    _check_finite(new, "ou_exact_step")
-    return OUState(FourierField(m, new), state.time + dt)
+    f = state.field
+    m = f.model
+    noise = pair_noise(m, rng, m.noise_scale(dt), f.coeffs.shape[:-2])
+    return OUState(FourierField(m, _ou(m, f.coeffs, dt, noise)), state.time + dt)
 
 
 def covariance_oracle(model: SpectrumModel, h: float, k) -> np.ndarray:
@@ -188,12 +177,12 @@ def origin_drift(psi: FourierField, phi: FourierField) -> FourierField:
     """Advection of phi by the value of psi at the origin.
 
     Coefficientwise i (u . k) phi_hat(k) with u = psi(0); u is real, so the
-    sign of the multiplier flips with k and conjugate symmetry survives.
+    multiplier at -k is the conjugate of the one at k and phi stays real.
     """
     _require_same_model(psi, phi)
     u = origin_value(psi)
-    mult = 1j * (phi.model.wavevectors @ u)
-    return FourierField(phi.model, mult[:, None] * phi.coeffs)
+    mult = 1j * (u @ phi.model.k_pos.T)
+    return FourierField(phi.model, mult[..., None] * phi.coeffs)
 
 
 def noiseless_flow_step(f: FourierField, dt: float) -> FourierField:
@@ -208,14 +197,14 @@ def noiseless_flow_step(f: FourierField, dt: float) -> FourierField:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     m = f.model
-    k = m.wavevectors.astype(float)
+    kt = m.k_pos.T
     e_half = m.decay(dt / 2.0)
     e_full = m.decay(dt)
     w0 = f.coeffs
 
     def rhs(w, decay):
-        u = np.real((w * decay[:, None]).sum(axis=0))
-        return (1j * (k @ u))[:, None] * w
+        u = 2.0 * np.einsum("p,...pd->...d", decay, w.real)
+        return (1j * (u @ kt))[..., None] * w
 
     k1 = rhs(w0, m.decay(0.0))
     k2 = rhs(w0 + (0.5 * dt) * k1, e_half)
@@ -224,91 +213,6 @@ def noiseless_flow_step(f: FourierField, dt: float) -> FourierField:
     out = (w0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * e_full[:, None]
     _check_finite(out, "noiseless_flow_step")
     return FourierField(m, out)
-
-
-def observation_step(f: FourierField, dt: float,
-                     rng: np.random.Generator) -> FourierField:
-    """Galerkin splitting step for the noisy observation process.
-
-    Deterministic substep: multiply mode k by exp((-gamma(k) + i u.k) dt)
-    with u frozen at the step start (weak order 1); then add the exact
-    Ornstein-Uhlenbeck noise increment.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    m = f.model
-    u = origin_value(f)
-    factor = np.exp((-m.gamma + 1j * (m.wavevectors @ u)) * dt)
-    new = f.coeffs * factor[:, None] + pair_noise(m, rng, scale=m.noise_scale(dt))
-    _check_finite(new, "observation_step")
-    return FourierField(m, new)
-
-
-def tangent_step(z: FourierField, u_tan: FourierField, dt: float) -> FourierField:
-    """One step of the first-variation flow along the observation dynamics.
-
-    With the base state z frozen over the step, the tangent table U obeys
-    U'(k) = (-gamma + i z0.k) U(k) + i (U(0).k) z_hat(k), z0 = z(0).
-    Same integrating-factor Runge-Kutta as the noiseless flow, so z = 0
-    reduces exactly to the decay semigroup.
-    """
-    _require_same_model(z, u_tan)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    m = z.model
-    k = m.wavevectors.astype(float)
-    z0 = origin_value(z)
-    phase = (1j * (k @ z0))[:, None]
-    zc = z.coeffs
-    e_half = m.decay(dt / 2.0)
-    e_full = m.decay(dt)
-    g_half = 1.0 / e_half
-    g_full = 1.0 / e_full
-    w0 = u_tan.coeffs
-
-    def rhs(w, decay, grow):
-        u0 = np.real((w * decay[:, None]).sum(axis=0))
-        return phase * w + grow[:, None] * ((1j * (k @ u0))[:, None] * zc)
-
-    ones = m.decay(0.0)
-    k1 = rhs(w0, ones, ones)
-    k2 = rhs(w0 + (0.5 * dt) * k1, e_half, g_half)
-    k3 = rhs(w0 + (0.5 * dt) * k2, e_half, g_half)
-    k4 = rhs(w0 + dt * k3, e_full, g_full)
-    out = (w0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * e_full[:, None]
-    _check_finite(out, "tangent_step")
-    return FourierField(m, out)
-
-
-# ---------------------------------------------------------------------------
-# Stacked-ensemble kernels, vectorized over a leading member axis; used by
-# the probe modules where a python-level loop over members would dominate.
-#
-# These work on the conjugate-pair representative slice (members, n_pairs, d):
-# every operation preserves the mirror symmetry bitwise, so the mirrors are
-# reconstructed only when a full table is needed.  Field values at the origin
-# are 2 Re sum over representatives, squared norms twice the representative
-# sum.  ens_pair_noise draws as pair_noise does: one standard_normal call of
-# shape (members, n_pairs, d, 2), consumed in order.
-
-def ens_tile(f: FourierField, n: int) -> np.ndarray:
-    """Stack n copies of the representative slice of f."""
-    return np.tile(f.coeffs[None, f.model.pair_pos, :], (n, 1, 1))
-
-
-def ens_norm_m(model: SpectrumModel, cpos: np.ndarray) -> np.ndarray:
-    w = model.sobolev_weight(model.m)[model.pair_pos]
-    return np.sqrt(2.0 * ((np.abs(cpos) ** 2).sum(axis=-1) * w).sum(axis=-1))
-
-
-def ens_origin_value(cpos: np.ndarray) -> np.ndarray:
-    return 2.0 * np.einsum("...pd->...d", cpos.real)
-
-
-def ens_pair_noise(model: SpectrumModel, rng: np.random.Generator,
-                   scale: np.ndarray | None, n: int) -> np.ndarray:
-    """Representative-slice part of pair_noise (the mirror half is implied)."""
-    return _pair_draw(model, rng, scale, (n,))
 
 
 def _phase_factor(phase: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -323,55 +227,98 @@ def _phase_factor(phase: np.ndarray, decay: np.ndarray) -> np.ndarray:
 def ens_observation_step(model: SpectrumModel, cpos: np.ndarray, dt: float,
                          noise: np.ndarray | None,
                          out: np.ndarray | None = None) -> np.ndarray:
-    """observation_step over stacked representative slices (n, n_pairs, d).
+    """The splitting step of observation_step on coefficients (..., n_pairs, d),
+    given its noise increment (None: the deterministic substep alone).
 
     The result goes to out (a new array when None), which may be cpos itself:
     the origin value is taken before anything is written.
     """
-    u = ens_origin_value(cpos)                              # (n, d)
-    phase = (u @ model.k_float[model.pair_pos].T) * dt      # (n, n_pairs)
-    factor = _phase_factor(phase, model.decay(dt)[model.pair_pos])
+    u = origin_value(FourierField(model, cpos))             # (..., d)
+    phase = (u @ model.k_pos.T) * dt                        # (..., n_pairs)
+    factor = _phase_factor(phase, model.decay(dt))
     if out is None:
         out = np.empty(cpos.shape, dtype=complex)
-    for i in range(cpos.shape[-1]):   # bitwise cpos * factor[:, :, None]
+    for i in range(cpos.shape[-1]):   # bitwise cpos * factor[..., None]
         np.multiply(cpos[..., i], factor, out=out[..., i])
     if noise is not None:
         out += noise
-    _check_finite(out.view(float), "ens_observation_step")
+    _check_finite(out.view(float), "an observation step")
     return out
 
 
-def ens_noiseless_flow_step(model: SpectrumModel, cpos: np.ndarray,
-                            dt: float, check: bool = True) -> np.ndarray:
-    """noiseless_flow_step over stacked representative slices."""
-    pos = model.pair_pos
-    kt = model.k_float[pos].T
-    e_half = model.decay(dt / 2.0)[pos]
-    e_full = model.decay(dt)[pos]
+def observation_step(f: FourierField, dt: float,
+                     rng: np.random.Generator) -> FourierField:
+    """Galerkin splitting step for the noisy observation process.
 
-    def rhs(w, decay):
-        u = 2.0 * np.einsum("s,...sd->...d", decay, w.real)
-        return (1j * (u @ kt))[..., None] * w
+    Deterministic substep: multiply mode k by exp((-gamma(k) + i u.k) dt)
+    with u frozen at the step start (weak order 1); then add the exact
+    Ornstein-Uhlenbeck noise increment.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    m = f.model
+    noise = pair_noise(m, rng, m.noise_scale(dt), f.coeffs.shape[:-2])
+    return FourierField(m, ens_observation_step(m, f.coeffs, dt, noise))
 
-    k1 = rhs(cpos, np.ones_like(e_full))
-    k2 = rhs(cpos + (0.5 * dt) * k1, e_half)
-    k3 = rhs(cpos + (0.5 * dt) * k2, e_half)
-    k4 = rhs(cpos + dt * k3, e_full)
-    out = (cpos + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * e_full[:, None]
-    if check:
-        _check_finite(out, "ens_noiseless_flow_step")
-    return out
+
+def tangent_step(z: FourierField, u_tan: FourierField, dt: float) -> FourierField:
+    """One step of the first-variation flow along the observation dynamics.
+
+    With the base state z frozen over the step, the tangent field U obeys
+    U'(k) = (-gamma + i z0.k) U(k) + i (U(0).k) z_hat(k), z0 = z(0).
+    Same integrating-factor Runge-Kutta as the noiseless flow, so z = 0
+    reduces exactly to the decay semigroup.
+    """
+    _require_same_model(z, u_tan)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    m = z.model
+    kt = m.k_pos.T
+    phase = (1j * (origin_value(z) @ kt))[..., None]
+    zc = z.coeffs
+    e_half = m.decay(dt / 2.0)
+    e_full = m.decay(dt)
+    g_half = 1.0 / e_half
+    g_full = 1.0 / e_full
+    w0 = u_tan.coeffs
+
+    def rhs(w, decay, grow):
+        u0 = 2.0 * np.einsum("p,...pd->...d", decay, w.real)
+        return phase * w + grow[:, None] * ((1j * (u0 @ kt))[..., None] * zc)
+
+    ones = m.decay(0.0)
+    k1 = rhs(w0, ones, ones)
+    k2 = rhs(w0 + (0.5 * dt) * k1, e_half, g_half)
+    k3 = rhs(w0 + (0.5 * dt) * k2, e_half, g_half)
+    k4 = rhs(w0 + dt * k3, e_full, g_full)
+    out = (w0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * e_full[:, None]
+    _check_finite(out, "tangent_step")
+    return FourierField(m, out)
+
+
+# ---------------------------------------------------------------------------
+# Entry points on bare (members, n_pairs, d) stacks for the probe modules; they
+# share the kernels above, and ens_pair_noise draws as pair_noise does.
+
+def ens_tile(f: FourierField, n: int) -> np.ndarray:
+    """Stack n copies of the coefficients of f."""
+    return np.tile(f.coeffs[None], (n, 1, 1))
+
+
+def ens_norm_m(model: SpectrumModel, cpos: np.ndarray) -> np.ndarray:
+    return _norm(model, cpos, model.m)
+
+
+def ens_pair_noise(model: SpectrumModel, rng: np.random.Generator,
+                   scale: np.ndarray | None, n: int) -> np.ndarray:
+    """pair_noise for n members."""
+    return _pair_draw(model, rng, scale, (n,))
 
 
 def ens_ou_step(model: SpectrumModel, cpos: np.ndarray, dt: float,
                 rng: np.random.Generator) -> np.ndarray:
     noise = ens_pair_noise(model, rng, model.noise_scale(dt), cpos.shape[0])
-    return cpos * model.decay(dt)[model.pair_pos, None] + noise
-
-
-def ens_sample_stationary(model: SpectrumModel, n: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    return ens_pair_noise(model, rng, None, n)
+    return _ou(model, cpos, dt, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +336,18 @@ def modulus_decay_report(model: SpectrumModel, n_starts: int, horizon: float,
     stride = max(1, n_steps // checkpoints)
     gstar = float(model.gamma.min())
     g = model.gamma[model.pair_pos]
-    w = ens_sample_stationary(model, n_starts, rng)
-    w = w / ens_norm_m(model, w)[:, None, None]   # unit X^m norm starts
-    mod0 = np.abs(w)
+    w = ens_pair_noise(model, rng, None, n_starts)
+    f = FourierField(model, w / ens_norm_m(model, w)[:, None, None])   # unit X^m norm starts
+    mod0 = np.abs(f.coeffs)
 
     worst_rel = 0.0
     worst_norm_excess = -np.inf
     for step in range(1, n_steps + 1):
-        at_checkpoint = not (step % stride) or step == n_steps
-        w = ens_noiseless_flow_step(model, w, dt, check=at_checkpoint)
-        if not at_checkpoint:
+        f = noiseless_flow_step(f, dt)
+        if step % stride and step != n_steps:
             continue
         t = step * dt
+        w = f.coeffs
         oracle = mod0 * np.exp(-g * t)[None, :, None]
         mask = oracle > 1e-290
         if mask.any():
@@ -423,7 +370,7 @@ def ou_covariance_report(model: SpectrumModel, ensemble: int, lags: tuple,
     sites of largest energy trace.
     """
     rng = np.random.default_rng(seed)
-    cpos0 = ens_sample_stationary(model, ensemble, rng)
+    cpos0 = ens_pair_noise(model, rng, None, ensemble)
     tr_all = np.real(np.trace(model.energy, axis1=1, axis2=2))
     tr = tr_all[model.pair_pos]
     # mirror sites carry conjugate statistics, so checking the top

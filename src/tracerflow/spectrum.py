@@ -45,7 +45,9 @@ class SpectrumModel:
 
     ``wavevectors`` lists every lattice site (one row per site, lex order);
     sums such as the regularity functional therefore count a real conjugate
-    pair twice, matching the full-lattice convention.
+    pair twice, matching the full-lattice convention.  ``pair_pos`` holds
+    the site of one representative per conjugate pair and ``k_pos`` its
+    wavevector; fields store their coefficients at these representatives.
     """
 
     dimension: int
@@ -60,6 +62,7 @@ class SpectrumModel:
     k_norm: np.ndarray = field(default=None, repr=False)
     pair_pos: np.ndarray = field(default=None, repr=False)
     pair_neg: np.ndarray = field(default=None, repr=False)
+    k_pos: np.ndarray = field(default=None, repr=False)
     sqrt_energy_pos: np.ndarray = field(default=None, repr=False)
     _index: dict = field(default=None, repr=False)
     _weight_m: np.ndarray = field(default=None, repr=False)
@@ -93,10 +96,10 @@ class SpectrumModel:
             raise SpectrumError(f"wavevector {key} not in model") from None
 
     def decay(self, dt: float) -> np.ndarray:
-        """exp(-gamma*dt) per site, memoized on dt (hot path)."""
+        """exp(-gamma*dt) per conjugate-pair representative, memoized on dt (hot path)."""
         out = self._decay_cache.get(dt)
         if out is None:
-            out = np.exp(-self.gamma * dt)
+            out = np.exp(-self.gamma[self.pair_pos] * dt)
             self._decay_cache[dt] = out
         return out
 
@@ -165,6 +168,7 @@ def _finalize(model: SpectrumModel) -> SpectrumModel:
             neg.append(j)
     model.pair_pos = np.asarray(pos, dtype=int)
     model.pair_neg = np.asarray(neg, dtype=int)
+    model.k_pos = model.k_float[model.pair_pos]
 
     # Hermitian square roots for the pair representatives; tiny negative
     # eigenvalues from projector roundoff are clipped at the PSD floor.

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import SpectrumModel
-from .field import (FourierField, OUState, NumericalFailure, _eval_unchecked,
-                    evaluate, ou_exact_step, sample_stationary, sobolev_norm)
+from .field import (FourierField, OUState, NumericalFailure, _eval, evaluate,
+                    ou_exact_step, sample_stationary, sobolev_norm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,7 +74,7 @@ def shift_field(f: FourierField, a) -> FourierField:
     Unit-modulus multipliers, so every X^r norm is preserved exactly.
     """
     a = np.asarray(a, dtype=float)
-    mult = np.exp(1j * (f.model.wavevectors @ a))
+    mult = np.exp(1j * (f.model.k_pos @ a))
     return FourierField(f.model, f.coeffs * mult[:, None])
 
 
@@ -90,15 +90,15 @@ def advect_step(tracer: TracerState, ou: OUState, dt: float,
     if abs(tracer.time - ou.time) > 1e-9 * max(1.0, abs(ou.time)):
         raise ValueError("tracer and field clocks disagree")
     model = ou.field.model
-    k = model.wavevectors
+    k = model.k_pos
     half = ou_exact_step(ou, dt / 2.0, rng)
     full = ou_exact_step(half, dt / 2.0, rng)
     c0, ch, c1 = ou.field.coeffs, half.field.coeffs, full.field.coeffs
     x = tracer.position
-    k1 = _eval_unchecked(c0, k, x)
-    k2 = _eval_unchecked(ch, k, wrap_torus(x + (0.5 * dt) * k1))
-    k3 = _eval_unchecked(ch, k, wrap_torus(x + (0.5 * dt) * k2))
-    k4 = _eval_unchecked(c1, k, wrap_torus(x + dt * k3))
+    k1 = _eval(c0, k, x)
+    k2 = _eval(ch, k, wrap_torus(x + (0.5 * dt) * k1))
+    k3 = _eval(ch, k, wrap_torus(x + (0.5 * dt) * k2))
+    k4 = _eval(c1, k, wrap_torus(x + dt * k3))
     delta = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("non-finite tracer increment")

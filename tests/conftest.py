@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from tracerflow import build_power_law_spectrum, spectrum_from_tables
+from tracerflow import FourierField, build_power_law_spectrum, spectrum_from_tables
 
 ACCEPTANCE_LINES = []
 
@@ -30,6 +32,15 @@ def full_k2_model():
     return build_power_law_spectrum(2, 2, 1.0, 2.0, "full", 1.0, 2.0)
 
 
+@functools.lru_cache(maxsize=None)
+def model_of_dimension(d):
+    """d = 1, 2, 3 with 8, 40 and 62 pairs; d = 1 has enough pairs for
+    numpy's pairwise sum."""
+    K, projection = {1: (8, "full"), 2: (4, "incompressible"),
+                     3: (2, "incompressible")}[d]
+    return build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0)
+
+
 def single_pair_model(k=(1, 0), gamma=1.0, energy=None, d=2, m=3, alpha=0.5):
     if energy is None:
         energy = np.eye(d)
@@ -41,3 +52,17 @@ def zero_energy_model(gammas=None, d=2, K=1):
     entries = gammas or {(1, 0): 1.0, (0, 1): 1.0}
     table = {k: (g, np.zeros((d, d))) for k, g in entries.items()}
     return spectrum_from_tables(d, K, table)
+
+
+def pair_row(model, k) -> int:
+    """Row of the representative slice that holds the pair {k, -k}."""
+    i = model._lookup(k)
+    return int(np.flatnonzero((model.pair_pos == i) | (model.pair_neg == i))[0])
+
+
+def pair_field(model, k, coeff):
+    """Field with coefficient `coeff` at k and the conjugate at -k."""
+    c = np.zeros((model.n_pairs, model.dimension), dtype=complex)
+    row = pair_row(model, k)
+    c[row] = coeff if model.pair_pos[row] == model._lookup(k) else np.conj(coeff)
+    return FourierField(model, c)

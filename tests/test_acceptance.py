@@ -25,8 +25,7 @@ from tracerflow.ergodic import (ObservableSpec, e_property_probe, moment_scan,
 from tracerflow.field import (OUState, ens_norm_m, ens_observation_step,
                               ens_pair_noise, modulus_decay_report,
                               ou_covariance_report, ou_exact_step,
-                              sample_stationary, sobolev_norm,
-                              ens_sample_stationary)
+                              sample_stationary, sobolev_norm)
 from tracerflow.tracer import displacement_identity_gap, run_lagrangian
 
 from conftest import ACCEPTANCE_LINES

@@ -1,11 +1,16 @@
+import copy
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tracerflow import ConfigError, config_hash, parse_config, serialize_config
+from tracerflow import ConfigError, cli, config_hash, parse_config, serialize_config
 from tracerflow._util import derive_seed
 
 
@@ -313,3 +318,73 @@ def test_ergodic_probe_records_carry_the_simulated_horizon(small_cfg, tmp_path):
     probed = [r for r in recs if r["probe"] in ("stability_probe", "e_property")]
     assert len(probed) == 3
     assert {r["params"]["T"] for r in probed} == {7 * 0.3}
+
+
+@pytest.mark.parametrize("subcommand, section, key, value, needle", [
+    ("field", "simulation", "seed", -5, "simulation.seed"),
+    ("decay", "simulation", "seed", -5, "simulation.seed"),
+    ("ergodic", "probe", "offsets", [0.25, 1.0], "probe.offsets"),
+    ("ergodic", "probe", "offsets", [1.0, -0.5], "probe.offsets"),
+    ("ergodic", "probe", "horizons", [-0.5, 0.5], "probe.horizons"),
+    ("ergodic", "spectrum", "dimension", 1, "spectrum.projection"),
+    ("decay", "spectrum", "dimension", 1, "spectrum.projection"),
+    ("field", "spectrum", "dimension", 1, "spectrum.projection"),
+    ("tracer", "output", "format", "jsonl", "unknown key output"),
+], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative",
+        "horizon_negative", "ergodic_d1", "decay_d1", "field_d1", "output_section"])
+def test_invalid_config_is_one_line_exit_1(small_cfg, tmp_path, subcommand, section,
+                                           key, value, needle):
+    cfg = json.loads(small_cfg.read_text())
+    cfg.setdefault(section, {})[key] = value
+    small_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "o.out"
+    res = run_cli(subcommand, "--config", str(small_cfg), "--out", str(out))
+    assert_one_line_exit_1(res, needle)
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------- CLI fuzz
+
+TINY = {"spectrum": {"dimension": 2, "truncation": 2},
+        "simulation": {"dt": 0.05, "T": 0.2, "ensemble": 2, "record_every": 1,
+                       "seed": 5},
+        "probe": {"offsets": [0.5, 0.25], "horizons": [0.1, 0.2],
+                  "chain_x": [1.0, 1.5], "chain_n_max": 4, "mc_paths": 50}}
+
+
+def _single_field_mutations():
+    """Every numeric config field flipped in sign, zeroed, or (lists) reversed,
+    and the dimension set to 1."""
+    out = [(("spectrum", "dimension"), 1)]
+    for section, fields in asdict(parse_config(json.dumps(TINY))).items():
+        for key, v in fields.items():
+            if isinstance(v, list):
+                values = [v[::-1], [-x for x in v], [0.0] * len(v)]
+            elif v is None:
+                values = [-1.0, 0.0]
+            elif isinstance(v, (int, float)):
+                values = [-v, 0 * v]
+            else:
+                continue
+            out += [((section, key), value) for value in values]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=st.sampled_from(_single_field_mutations()))
+@example(mutation=(("simulation", "seed"), -5))
+@example(mutation=(("probe", "offsets"), [0.25, 0.5]))
+@example(mutation=(("probe", "offsets"), [-0.5, -0.25]))
+@example(mutation=(("probe", "horizons"), [0.0, 0.0]))
+@example(mutation=(("spectrum", "dimension"), 1))
+def test_cli_keeps_its_exit_codes_under_single_field_mutations(mutation):
+    (section, key), value = mutation
+    cfg = copy.deepcopy(TINY)
+    cfg[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        for sub in cli.SUBCOMMANDS:
+            code = cli.main([sub, "--config", path, "--out", os.path.join(tmp, sub)])
+            assert code in (0, 1, 2, 3), (sub, code)

@@ -10,8 +10,7 @@ from tracerflow import (FourierField, ObservableSpec, build_power_law_spectrum,
                         time_average, zero_field)
 from tracerflow._util import derive_seed
 from tracerflow.ergodic import _unit_direction, time_average_with_stderr
-from tracerflow.field import (_phase_factor, ens_norm_m, ens_pair_noise,
-                              ens_sample_stationary, ens_tile)
+from tracerflow.field import _phase_factor, ens_norm_m, ens_pair_noise, ens_tile
 from conftest import zero_energy_model, single_pair_model
 
 TANH_NORM = ObservableSpec("bounded_lipschitz_of_norm")
@@ -110,7 +109,7 @@ def test_moment_scan_rejects_horizon_without_grid_step(small_model):
 
 def test_stationary_moment_closed_form_matches_sampling(default_model):
     m = default_model
-    draws = ens_sample_stationary(m, 40000, np.random.default_rng(11))
+    draws = ens_pair_noise(m, np.random.default_rng(11), None, 40000)
     norms_sq = ens_norm_m(m, draws) ** 2
     s2 = stationary_norm_moment(m, 1)
     s4 = stationary_norm_moment(m, 2)
@@ -251,7 +250,7 @@ def _allocating_observation_step(model, cpos, dt, noise):
     in place: a fresh array per call, one broadcast multiply."""
     u = 2.0 * cpos.real.sum(axis=-2)
     phase = (u @ model.k_float[model.pair_pos].T) * dt
-    out = cpos * _phase_factor(phase, model.decay(dt)[model.pair_pos])[:, :, None]
+    out = cpos * _phase_factor(phase, model.decay(dt))[:, :, None]
     if noise is not None:
         out += noise
     return out

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -7,26 +6,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from tracerflow import (FourierField, NumericalFailure, OUState,
-                        SpectrumError, SymmetryViolation, apply_semigroup,
-                        build_power_law_spectrum,
-                        check_conjugate_symmetry, covariance_oracle, evaluate,
+                        SpectrumError, apply_semigroup,
+                        build_power_law_spectrum, covariance_oracle, evaluate,
                         noiseless_flow_step, observation_step, origin_drift,
                         origin_value, ou_exact_step, sample_stationary,
-                        sobolev_norm, spectrum_from_tables, tangent_step,
-                        zero_field)
-from tracerflow.field import (_phase_factor, ens_norm_m, ens_observation_step,
-                              ens_origin_value, ens_ou_step, ens_pair_noise,
-                              ens_sample_stationary, modulus_decay_report,
-                              pair_noise)
-from conftest import single_pair_model, zero_energy_model
-
-
-def pair_field(model, k, coeff):
-    """Field with coefficient `coeff` at k and the conjugate at -k."""
-    c = np.zeros((model.size, model.dimension), dtype=complex)
-    c[model._lookup(k)] = coeff
-    c[model._lookup(tuple(-x for x in k))] = np.conj(coeff)
-    return FourierField(model, c)
+                        sobolev_norm, tangent_step, zero_field)
+from tracerflow.field import (_phase_factor, ens_observation_step, ens_ou_step,
+                              ens_pair_noise, modulus_decay_report, pair_noise)
+from conftest import (model_of_dimension, pair_field, pair_row, single_pair_model,
+                      zero_energy_model)
 
 
 # ---------------------------------------------------------------- norms
@@ -61,7 +49,7 @@ def test_semigroup_single_mode_decay():
     m = single_pair_model(gamma=1.0)
     f = pair_field(m, (1, 0), [1.0, 0.0])
     g = apply_semigroup(f, 1.0)
-    amp = np.abs(g.coeffs[m._lookup((1, 0))][0])
+    amp = np.abs(g.coeffs[pair_row(m, (1, 0))][0])
     assert amp == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
@@ -99,14 +87,6 @@ def test_evaluate_jacobian_closed_form(small_model):
     assert abs(jac[0, 1]) < 1e-14 and abs(jac[1, 0]) < 1e-14
 
 
-def test_evaluate_rejects_broken_symmetry(small_model):
-    c = np.zeros((small_model.size, 2), dtype=complex)
-    c[small_model._lookup((1, 0))] = [1.0j, 0.0]  # no conjugate partner
-    f = FourierField(small_model, c)
-    with pytest.raises(SymmetryViolation):
-        evaluate(f, [0.3, 0.4])
-
-
 # ---------------------------------------------------------------- sampling
 
 def test_stationary_zero_energy_gives_zero_field():
@@ -121,10 +101,11 @@ def test_stationary_covariance_matches_model(full_k2_model):
     draws = pair_noise(m, rng, lead_shape=(20000,))
     tr = np.real(np.trace(m.energy, axis1=1, axis2=2))
     thresh = 1e-3 * tr.max()
-    for i in range(m.size):
+    # the mirror of each representative carries the conjugate by construction
+    for p, i in enumerate(m.pair_pos):
         if tr[i] < thresh:
             continue
-        cov = np.einsum("ni,nj->ij", draws[:, i, :], draws[:, i, :].conj()) / 20000
+        cov = np.einsum("ni,nj->ij", draws[:, p, :], draws[:, p, :].conj()) / 20000
         rel = np.linalg.norm(cov - m.energy[i]) / np.linalg.norm(m.energy[i])
         assert rel < 0.05, f"mode {tuple(m.wavevectors[i])}: {rel}"
 
@@ -134,8 +115,8 @@ def test_stationary_pseudo_covariance_vanishes(full_k2_model):
     rng = np.random.default_rng(101)
     n = 20000
     draws = pair_noise(m, rng, lead_shape=(n,))
-    for i in m.pair_pos:
-        pc = np.einsum("ni,nj->ij", draws[:, i, :], draws[:, i, :]) / n
+    for p, i in enumerate(m.pair_pos):
+        pc = np.einsum("ni,nj->ij", draws[:, p, :], draws[:, p, :]) / n
         e = m.energy[i].real
         # entrywise MC scale; 3 sigma on the Frobenius norm
         ent = np.sqrt((np.outer(np.diag(e), np.diag(e)) + np.abs(e) ** 2) / n)
@@ -164,17 +145,16 @@ def test_pair_draw_is_bitwise_the_einsum_formula(d, K, projection, dt):
     full = pair_noise(m, np.random.default_rng(7), scale, (n,))
     ens = ens_pair_noise(m, np.random.default_rng(7), scale, n)
     assert ens.tobytes() == ref.tobytes()
-    assert full[:, m.pair_pos, :].tobytes() == ens.tobytes()
-    assert full[:, m.pair_neg, :].tobytes() == ens.conj().tobytes()
+    assert full.tobytes() == ens.tobytes()
     one = pair_noise(m, np.random.default_rng(7), scale)
-    assert one[m.pair_pos].tobytes() == _einsum_pair_draw(m, 7, scale, ()).tobytes()
+    assert one.tobytes() == _einsum_pair_draw(m, 7, scale, ()).tobytes()
 
 
 @pytest.mark.parametrize("with_noise", [False, True])
 def test_ens_observation_step_leaves_its_inputs_alone(default_model, with_noise):
     m = default_model
     rng = np.random.default_rng(8)
-    cpos = ens_sample_stationary(m, 6, rng)
+    cpos = ens_pair_noise(m, rng, None, 6)
     noise = ens_pair_noise(m, rng, m.noise_scale(0.01), 6) if with_noise else None
     cpos0 = cpos.copy()
     noise0 = None if noise is None else noise.copy()
@@ -186,28 +166,20 @@ def test_ens_observation_step_leaves_its_inputs_alone(default_model, with_noise)
     assert not np.shares_memory(out, cpos)
 
 
-@functools.lru_cache(maxsize=None)
-def _model_of_dimension(d):
-    # 8, 40 and 62 pairs; d = 1 has enough pairs for numpy's pairwise sum
-    K, projection = {1: (8, "full"), 2: (4, "incompressible"),
-                     3: (2, "incompressible")}[d]
-    return build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), n=st.integers(1, 40),
        with_noise=st.booleans(), dt=st.sampled_from([1e-3, 0.01, 0.3]),
        amplitude=st.sampled_from([1.0, 30.0]), seed=st.integers(0, 2 ** 32 - 1))
 def test_ens_observation_step_in_place_is_the_out_of_place_step(
         d, n, with_noise, dt, amplitude, seed):
-    m = _model_of_dimension(d)
+    m = model_of_dimension(d)
     rng = np.random.default_rng(seed)
-    cpos = amplitude * ens_sample_stationary(m, n, rng)
+    cpos = amplitude * ens_pair_noise(m, rng, None, n)
     noise = ens_pair_noise(m, rng, m.noise_scale(dt), n) if with_noise else None
     ref = ens_observation_step(m, cpos, dt, noise)
     # the per-component multiply is the broadcast multiply, bit for bit
-    phase = (ens_origin_value(cpos) @ m.k_float[m.pair_pos].T) * dt
-    broadcast = cpos * _phase_factor(phase, m.decay(dt)[m.pair_pos])[:, :, None]
+    phase = (origin_value(FourierField(m, cpos)) @ m.k_float[m.pair_pos].T) * dt
+    broadcast = cpos * _phase_factor(phase, m.decay(dt))[:, :, None]
     if with_noise:
         broadcast += noise
     assert ref.tobytes() == broadcast.tobytes()
@@ -219,14 +191,16 @@ def test_ens_observation_step_in_place_is_the_out_of_place_step(
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_ens_origin_value_is_twice_the_real_sum(d):
-    cpos = np.random.default_rng(d).standard_normal((500, 40, d, 2)).view(complex)[..., 0]
-    got = ens_origin_value(cpos)
+    m = model_of_dimension(d)
+    cpos = np.random.default_rng(d).standard_normal(
+        (500, m.n_pairs, d, 2)).view(complex)[..., 0]
+    got = origin_value(FourierField(m, cpos))
     plain = 2.0 * cpos.real.sum(axis=-2)
     if d >= 2:
         assert got.tobytes() == plain.tobytes()
     else:
         # sequential against pairwise summation: both are roundings of one sum
-        bound = 2.0 * 40 * np.finfo(float).eps * np.abs(cpos.real).sum(axis=-2)
+        bound = 2.0 * m.n_pairs * np.finfo(float).eps * np.abs(cpos.real).sum(axis=-2)
         assert np.all(np.abs(got - plain) <= bound)
 
 
@@ -236,7 +210,7 @@ def test_ou_zero_energy_is_pure_decay():
     m = zero_energy_model(gammas={(1, 0): 2.0, (0, 1): 0.5})
     f = pair_field(m, (1, 0), [0.4 + 0.2j, 0.1])
     out = ou_exact_step(OUState(f, 0.0), 0.7, np.random.default_rng(0))
-    expect = f.coeffs * np.exp(-m.gamma * 0.7)[:, None]
+    expect = f.coeffs * np.exp(-m.gamma[m.pair_pos] * 0.7)[:, None]
     np.testing.assert_array_equal(out.field.coeffs, expect)
     assert out.time == pytest.approx(0.7)
 
@@ -246,8 +220,7 @@ def test_ou_long_step_forgets_start(full_k2_model):
     # the start, because the one-step kernel is the continuous transition
     m = full_k2_model
     rng = np.random.default_rng(7)
-    start = np.tile((10.0 * pair_field(m, (1, 0), [1.0, 1.0]).coeffs)[None, m.pair_pos, :],
-                    (20000, 1, 1))
+    start = np.tile((10.0 * pair_field(m, (1, 0), [1.0, 1.0]).coeffs)[None], (20000, 1, 1))
     out = ens_ou_step(m, start, 50.0, rng)
     idx = 0
     cov = np.einsum("ni,nj->ij", out[:, idx, :], out[:, idx, :].conj()) / 20000
@@ -258,7 +231,7 @@ def test_ou_long_step_forgets_start(full_k2_model):
 def test_ou_lag_correlation(full_k2_model):
     m = full_k2_model
     rng = np.random.default_rng(8)
-    c0 = ens_sample_stationary(m, 20000, rng)
+    c0 = ens_pair_noise(m, rng, None, 20000)
     c1 = ens_ou_step(m, c0, 1.0, rng)
     gamma_pos = m.gamma[m.pair_pos]
     tr = np.real(np.trace(m.energy, axis1=1, axis2=2))[m.pair_pos]
@@ -271,7 +244,7 @@ def test_ou_lag_correlation(full_k2_model):
 def test_ou_stationarity_preserved(full_k2_model):
     m = full_k2_model
     rng = np.random.default_rng(9)
-    c = ens_sample_stationary(m, 20000, rng)
+    c = ens_pair_noise(m, rng, None, 20000)
     c = ens_ou_step(m, c, 0.3, rng)
     idx = 0
     cov = np.einsum("ni,nj->ij", c[:, idx, :], c[:, idx, :].conj()) / 20000
@@ -309,9 +282,8 @@ def test_origin_drift_single_mode():
     c = 0.8
     phi = pair_field(m, (1, 0), [c, 0.0])
     out = origin_drift(psi, phi)
-    np.testing.assert_allclose(out.coeffs[m._lookup((1, 0))], [1j * c, 0.0],
+    np.testing.assert_allclose(out.coeffs[pair_row(m, (1, 0))], [1j * c, 0.0],
                                atol=1e-15)
-    check_conjugate_symmetry(out)
 
 
 def test_origin_drift_zero_argument(small_model):
@@ -324,11 +296,12 @@ def test_origin_drift_zero_argument(small_model):
 def test_origin_drift_energy_identity(small_model):
     m = small_model
     rng = np.random.default_rng(3)
-    w = m.sobolev_weight(m.m)
+    w = m.sobolev_weight(m.m)[m.pair_pos]
     for _ in range(100):
         psi = sample_stationary(m, rng)
         b = origin_drift(psi, psi)
-        ip = float(np.real(np.sum(w[:, None] * np.conj(psi.coeffs) * b.coeffs)))
+        # each representative stands for itself and its mirror
+        ip = 2.0 * float(np.real(np.sum(w[:, None] * np.conj(psi.coeffs) * b.coeffs)))
         nrm = sobolev_norm(psi, m.m)
         assert abs(ip) <= 1e-12 * nrm ** 3
 
@@ -368,15 +341,14 @@ def test_noiseless_flow_fourth_order(default_model):
 
 def test_observation_step_noiseless_limit():
     m = zero_energy_model(gammas={(1, 0): 1.0, (1, 1): 2.0})
-    c = np.zeros((m.size, 2), dtype=complex)
-    c[m.pair_pos] = np.array([[0.3 + 0.1j, 0.2 - 0.2j], [0.1, 0.4j]])
-    c[m.pair_neg] = c[m.pair_pos].conj()
-    f = FourierField(m, c)
+    f = FourierField(m, np.array([[0.3 + 0.1j, 0.2 - 0.2j], [0.1, 0.4j]]))
     out = observation_step(f, 0.1, np.random.default_rng(0))
     u = origin_value(f)
-    expect = f.coeffs * np.exp((-m.gamma + 1j * (m.wavevectors @ u)) * 0.1)[:, None]
+    gamma = m.gamma[m.pair_pos]
+    phase = (u @ m.k_float[m.pair_pos].T) * 0.1
+    expect = f.coeffs * (np.exp(-gamma * 0.1) * (np.cos(phase) + 1j * np.sin(phase)))[:, None]
     np.testing.assert_array_equal(out.coeffs, expect)
-    decay = np.abs(f.coeffs) * np.exp(-m.gamma * 0.1)[:, None]
+    decay = np.abs(f.coeffs) * np.exp(-gamma * 0.1)[:, None]
     assert np.abs(np.abs(out.coeffs) - decay).max() < 1e-15
 
 
@@ -384,7 +356,7 @@ def test_observation_step_linear_case_matches_exact_ou():
     # with a single incompressible pair the advective phase u.k vanishes,
     # so the splitting step is the exact transition; compare laws at t=1
     m = single_pair_model(energy=np.diag([0.0, 1.0]))
-    idx = m._lookup((1, 0))
+    idx = pair_row(m, (1, 0))
     n = 5000
     rngz = np.random.default_rng(50)
     zn = np.empty(n)
@@ -403,7 +375,7 @@ def test_observation_step_linear_case_matches_exact_ou():
 
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_observation_step_detects_nonfinite(small_model):
-    c = np.full((small_model.size, 2), np.inf + 0j)
+    c = np.full((small_model.n_pairs, 2), np.inf + 0j)
     f = FourierField(small_model, c)
     with pytest.raises(NumericalFailure):
         observation_step(f, 1e-3, np.random.default_rng(0))
@@ -452,30 +424,13 @@ def test_tangent_matches_shared_noise_finite_difference(small_model):
     for _ in range(n_steps):
         u = tangent_step(z, u, dt)
         z = observation_step(z, dt, rng)
-    w = m.sobolev_weight(m.m)[:, None]
+    w = m.sobolev_weight(m.m)[m.pair_pos, None]
     err = math.sqrt(float(np.sum(w * np.abs(fd - u.coeffs) ** 2)))
     scale = math.sqrt(float(np.sum(w * np.abs(u.coeffs) ** 2)))
     assert err / scale < 1e-2
 
 
 # ---------------------------------------------------------------- invariants
-
-@pytest.mark.parametrize("op", ["semigroup", "noiseless", "observation", "tangent", "ou"])
-def test_operations_preserve_conjugate_symmetry(small_model, op):
-    rng = np.random.default_rng(6)
-    f = sample_stationary(small_model, rng)
-    if op == "semigroup":
-        out = apply_semigroup(f, 0.4)
-    elif op == "noiseless":
-        out = noiseless_flow_step(f, 1e-2)
-    elif op == "observation":
-        out = observation_step(f, 1e-2, rng)
-    elif op == "tangent":
-        out = tangent_step(f, sample_stationary(small_model, rng), 1e-2)
-    else:
-        out = ou_exact_step(OUState(f, 0.0), 0.1, rng).field
-    check_conjugate_symmetry(out, tol=1e-12)
-
 
 def test_pointwise_bound_from_norm(small_model):
     # sup over the torus of |V| + |DV|_F is controlled by the X^m norm with
@@ -484,11 +439,11 @@ def test_pointwise_bound_from_norm(small_model):
     c_const = float(((1.0 + m.k_norm) * m.k_norm ** (-float(m.m))).sum())
     grid = np.stack(np.meshgrid(*(2 * [np.linspace(0, 2 * math.pi, 64, endpoint=False)]),
                                 indexing="ij"), axis=-1).reshape(-1, 2)
-    phases = np.exp(1j * (grid @ m.k_float.T))           # (points, size)
+    phases = np.exp(1j * (grid @ m.k_pos.T))             # (points, n_pairs)
     rng = np.random.default_rng(12)
     for _ in range(100):
         f = sample_stationary(m, rng)
-        vals = np.real(phases @ f.coeffs)                # (points, d)
-        jac = np.real(1j * np.einsum("ps,si,sj->pij", phases, f.coeffs, m.k_float))
+        vals = 2.0 * np.real(phases @ f.coeffs)          # (points, d)
+        jac = 2.0 * np.real(1j * np.einsum("ps,si,sj->pij", phases, f.coeffs, m.k_pos))
         total = np.linalg.norm(vals, axis=1) + np.linalg.norm(jac, axis=(1, 2))
         assert total.max() <= c_const * sobolev_norm(f, m.m) * (1 + 1e-12)

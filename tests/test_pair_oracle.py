@@ -1,0 +1,162 @@
+"""The representative-slice kernels against the full-table formulas.
+
+A field stores one coefficient per conjugate pair.  The oracles below rebuild
+the mirror sites, c(-k) = conj(c(k)), and evaluate the formulas the package
+used when it stored every lattice site: sums run over all sites and take the
+real part.  The kernels must agree with them, member by member, within
+64 eps times the sum of the absolute values of the terms of each result.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from tracerflow import (FourierField, apply_semigroup, evaluate, noiseless_flow_step,
+                        origin_value, shift_field, sobolev_norm, tangent_step)
+from tracerflow.field import _ou, ens_observation_step
+from conftest import model_of_dimension
+
+EPS = np.finfo(float).eps
+
+
+def full_table(model, coeffs):
+    """The per-site table (..., size, d) of a representative slice."""
+    out = np.zeros(coeffs.shape[:-2] + (model.size, model.dimension), dtype=complex)
+    out[..., model.pair_pos, :] = coeffs
+    out[..., model.pair_neg, :] = coeffs.conj()
+    return out
+
+
+def site_decay(model, t):
+    return np.exp(-model.gamma * t)
+
+
+# ------------------------------------------------ full-table formulas
+
+def oracle_value_and_jacobian(model, full, xi):
+    k = model.k_float
+    phases = np.exp(1j * (model.wavevectors @ xi))
+    raw = phases @ full
+    jac = np.real(1j * ((full * phases[:, None]).mT @ k))
+    return raw.real, jac
+
+
+def oracle_norm_sq(model, full, r):
+    return (model.sobolev_weight(r) * (np.abs(full) ** 2).sum(axis=-1)).sum(axis=-1)
+
+
+def oracle_origin(full):
+    return np.real(full.sum(axis=-2))
+
+
+def oracle_shift(model, full, a):
+    return full * np.exp(1j * (model.wavevectors @ a))[:, None]
+
+
+def oracle_noiseless(model, full, dt):
+    k = model.k_float
+    e_half, e_full = site_decay(model, dt / 2.0), site_decay(model, dt)
+
+    def rhs(w, decay):
+        u = np.real((w * decay[:, None]).sum(axis=-2))
+        return (1j * (u @ k.T))[..., None] * w
+
+    k1 = rhs(full, site_decay(model, 0.0))
+    k2 = rhs(full + (0.5 * dt) * k1, e_half)
+    k3 = rhs(full + (0.5 * dt) * k2, e_half)
+    k4 = rhs(full + dt * k3, e_full)
+    return (full + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * e_full[:, None]
+
+
+def oracle_observation(model, full, dt):
+    u = oracle_origin(full)
+    factor = np.exp((-model.gamma + 1j * (u @ model.k_float.T)) * dt)
+    return full * factor[..., None]
+
+
+def oracle_tangent(model, zf, uf, dt):
+    k = model.k_float
+    phase = (1j * (oracle_origin(zf) @ k.T))[..., None]
+    e_half, e_full = site_decay(model, dt / 2.0), site_decay(model, dt)
+
+    def rhs(w, decay, grow):
+        u0 = np.real((w * decay[:, None]).sum(axis=-2))
+        return phase * w + grow[:, None] * ((1j * (u0 @ k.T))[..., None] * zf)
+
+    ones = site_decay(model, 0.0)
+    k1 = rhs(uf, ones, ones)
+    k2 = rhs(uf + (0.5 * dt) * k1, e_half, 1.0 / e_half)
+    k3 = rhs(uf + (0.5 * dt) * k2, e_half, 1.0 / e_half)
+    k4 = rhs(uf + dt * k3, e_full, 1.0 / e_full)
+    return (uf + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * e_full[:, None]
+
+
+# ------------------------------------------------ property tests
+
+def assert_close(got, want, terms):
+    bound = 64.0 * EPS * terms
+    assert np.all(np.abs(got - want) <= bound), float(np.max(np.abs(got - want) - bound))
+
+
+def unit_mass_slice(model, lead, rng):
+    """Random representatives whose full table has L1 mass 1 per member."""
+    c = rng.standard_normal(lead + (model.n_pairs, model.dimension, 2)).view(complex)[..., 0]
+    return c / (2.0 * np.abs(c).sum(axis=(-2, -1), keepdims=True))
+
+
+fields = dict(d=st.sampled_from([1, 2, 3]),
+              lead=st.one_of(st.just(()), st.integers(1, 8).map(lambda n: (n,))),
+              seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**fields)
+def test_measures_agree_with_the_full_table_sums(d, lead, seed):
+    m = model_of_dimension(d)
+    rng = np.random.default_rng(seed)
+    c = unit_mass_slice(m, lead, rng)
+    full = full_table(m, c)
+    f = FourierField(m, c)
+
+    xi = rng.uniform(0.0, 2.0 * math.pi, d)
+    value, jac = evaluate(f, xi, jacobian=True)
+    want_value, want_jac = oracle_value_and_jacobian(m, full, xi)
+    assert value.shape == want_value.shape and jac.shape == want_jac.shape
+    assert_close(value, want_value, np.abs(full).sum(axis=-2))
+    assert_close(jac, want_jac, np.abs(full).mT @ np.abs(m.k_float))
+    assert_close(evaluate(f, xi), want_value, np.abs(full).sum(axis=-2))
+
+    for r in (0.0, 1.0, float(m.m)):
+        want = oracle_norm_sq(m, full, r)
+        assert_close(sobolev_norm(f, r) ** 2, want, want)
+
+    assert_close(origin_value(f), oracle_origin(full), np.abs(full.real).sum(axis=-2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dt=st.sampled_from([1e-3, 0.01, 0.1]), **fields)
+def test_steps_agree_with_the_full_table_steps(d, lead, seed, dt):
+    # every result is a per-site product of the start with unit-size
+    # factors, coupled through origin values of size at most the L1 mass 1
+    m = model_of_dimension(d)
+    rng = np.random.default_rng(seed)
+    c = unit_mass_slice(m, lead, rng)
+    full = full_table(m, c)
+    f = FourierField(m, c)
+    mass = np.abs(full).sum(axis=(-2, -1))[..., None, None]
+
+    a = rng.uniform(0.0, 2.0 * math.pi, d)
+    assert_close(full_table(m, shift_field(f, a).coeffs), oracle_shift(m, full, a),
+                 np.abs(full))
+    decayed = full * site_decay(m, dt)[:, None]
+    assert_close(full_table(m, apply_semigroup(f, dt).coeffs), decayed, np.abs(full))
+    assert_close(full_table(m, _ou(m, c, dt, np.zeros_like(c))), decayed, np.abs(full))
+    assert_close(full_table(m, ens_observation_step(m, c, dt, None)),
+                 oracle_observation(m, full, dt), mass)
+    assert_close(full_table(m, noiseless_flow_step(f, dt).coeffs),
+                 oracle_noiseless(m, full, dt), mass)
+
+    u = unit_mass_slice(m, lead, rng)
+    assert_close(full_table(m, tangent_step(f, FourierField(m, u), dt).coeffs),
+                 oracle_tangent(m, full, full_table(m, u), dt), mass)

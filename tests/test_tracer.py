@@ -11,14 +11,7 @@ from tracerflow.field import ou_exact_step
 from tracerflow.tracer import (TrajectoryRecord, csv_columns,
                                displacement_identity_gap,
                                trajectory_csv_rows, wrap_torus)
-from conftest import single_pair_model, zero_energy_model
-
-
-def pair_field(model, k, coeff):
-    c = np.zeros((model.size, model.dimension), dtype=complex)
-    c[model._lookup(k)] = coeff
-    c[model._lookup(tuple(-x for x in k))] = np.conj(coeff)
-    return FourierField(model, c)
+from conftest import pair_field, pair_row, single_pair_model, zero_energy_model
 
 
 def frozen_cosine_model(amplitude):
@@ -38,7 +31,7 @@ def test_shift_by_zero_is_identity(small_model):
 def test_shift_by_half_period_negates_unit_mode(small_model):
     f = pair_field(small_model, (1, 0), [0.4 + 0.1j, 0.2])
     g = shift_field(f, np.array([math.pi, 0.0]))
-    i = small_model._lookup((1, 0))
+    i = pair_row(small_model, (1, 0))
     np.testing.assert_allclose(g.coeffs[i], -f.coeffs[i], atol=1e-15)
 
 
@@ -58,7 +51,7 @@ def test_shift_preserves_every_norm(small_model):
 def test_tracer_stationary_in_dead_field():
     m = zero_energy_model()
     tr = TracerState(np.zeros(2), np.zeros(2), 0.0)
-    ou = OUState(FourierField(m, np.zeros((m.size, 2), complex)), 0.0)
+    ou = OUState(FourierField(m, np.zeros((m.n_pairs, 2), complex)), 0.0)
     rng = np.random.default_rng(0)
     for _ in range(100):
         tr, ou = advect_step(tr, ou, 1e-2, rng)
