@@ -7,8 +7,6 @@ gathered by run index.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from ._util import derive_seed
 from .spectrum import SpectrumModel
 from .tracer import TrajectoryRecord, run_lagrangian
@@ -30,5 +28,6 @@ def run_trajectory_ensemble(model: SpectrumModel, T: float, dt: float,
     jobs = [(model, T, dt, record_every, s) for s in seeds]
     if threads <= 1 or n_runs == 1:
         return [_one_run(j) for j in jobs]
+    from concurrent.futures import ProcessPoolExecutor   # only a pool pays its import
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_one_run, jobs))

@@ -141,9 +141,6 @@ class ChainDistribution:
     def expectation(self, f) -> float:
         return math.fsum(p * f(v) for v, p in self.atoms)
 
-    def mass(self, predicate) -> float:
-        return math.fsum(p for v, p in self.atoms if predicate(v))
-
 
 def _sweep(x: float, n: int, f):
     """Yield (probabilities, f at the atoms) of the law after 0..n steps from x.

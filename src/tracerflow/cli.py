@@ -302,7 +302,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
             if isinstance(raw, dict):
                 raw.pop("seed", None)
-                raw.setdefault("simulation", {})["seed"] = args.seed_override
+                sim = raw.setdefault("simulation", {})
+                if isinstance(sim, dict):   # else parse_config rejects the section
+                    sim["seed"] = args.seed_override
             text = json.dumps(raw)
         cfg = parse_config(text)
         _HANDLERS[args.subcommand](cfg, args.out, max(1, args.threads))

@@ -71,10 +71,6 @@ _SECTION_ALIASES = {("spectrum", "K"): "truncation"}
 
 
 def _coerce(path: str, value, expected):
-    if expected is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean")
-        return value
     if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer")

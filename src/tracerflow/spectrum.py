@@ -48,6 +48,10 @@ class SpectrumModel:
     pair twice, matching the full-lattice convention.  ``pair_pos`` holds
     the site of one representative per conjugate pair and ``k_pos`` its
     wavevector; fields store their coefficients at these representatives.
+
+    The sites are lex-sorted and closed under negation (k = 0 excluded), so
+    negation reverses their order: the mirror of site i is site size-1-i,
+    and the representatives ``pair_pos`` are the upper half of the sites.
     """
 
     dimension: int
@@ -127,47 +131,48 @@ def _lattice(d: int, K: int) -> np.ndarray:
     return grid[order]
 
 
-def _validate_energy(k: tuple, energy: np.ndarray) -> None:
-    scale = float(np.abs(energy).max(initial=0.0))
-    if scale == 0.0:
-        return
-    herm = np.abs(energy - energy.conj().T).max()
-    if herm > HERMITIAN_RTOL * scale:
-        raise SpectrumError(f"energy at {k} not Hermitian (deviation {herm:.3g})")
-    eigs = np.linalg.eigvalsh(0.5 * (energy + energy.conj().T))
-    trace = float(np.real(np.trace(energy)))
-    if eigs.min() < -PSD_FLOOR_RTOL * max(trace, scale):
-        raise SpectrumError(f"energy at {k} not PSD (min eig {eigs.min():.3g})")
+def _reject_first(bad: np.ndarray, message) -> None:
+    """Raise message(i) for the first site i flagged in bad."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise SpectrumError(message(int(hits[0])))
 
 
 def _finalize(model: SpectrumModel) -> SpectrumModel:
-    kv = model.wavevectors
-    model._index = {tuple(int(c) for c in row): i for i, row in enumerate(kv)}
+    kv, gamma, energy = model.wavevectors, model.gamma, model.energy
+    size = kv.shape[0]
+    keys = [tuple(row) for row in kv.tolist()]
+    model._index = dict(zip(keys, range(size)))
     model.k_float = kv.astype(float)
     model.k_norm = np.sqrt((model.k_float ** 2).sum(axis=1))
     model._weight_m = model.k_norm ** (2.0 * model.m)
 
-    if np.any(model.gamma <= 0.0):
+    if np.any(gamma <= 0.0):
         raise SpectrumError("all mixing rates must be positive")
+    if size % 2 or not np.array_equal(kv[::-1], -kv):
+        for key in keys:
+            mirror = tuple(-c for c in key)
+            if mirror not in model._index:
+                raise SpectrumError(f"mirror site {mirror} of {key} is missing")
+        raise SpectrumError("sites must be lex-sorted and closed under negation, without k = 0")
+    # from here on the mirror of site i is site size-1-i
+    _reject_first(gamma != gamma[::-1],
+                  lambda i: f"gamma({keys[i]}) != gamma({keys[-1 - i]})")
+    scale = np.abs(energy).max(axis=(1, 2))
+    conj = energy.conj()
+    _reject_first(np.abs(energy[::-1] - conj).max(axis=(1, 2)) > HERMITIAN_RTOL * (1.0 + scale),
+                  lambda i: f"energy({keys[-1 - i]}) is not the conjugate of energy({keys[i]})")
+    energy_h = conj.swapaxes(1, 2)
+    herm = np.abs(energy - energy_h).max(axis=(1, 2))
+    _reject_first(herm > HERMITIAN_RTOL * scale,
+                  lambda i: f"energy at {keys[i]} not Hermitian (deviation {herm[i]:.3g})")
+    eig_min = np.linalg.eigvalsh(0.5 * (energy + energy_h)).min(axis=1)
+    trace = np.real(np.trace(energy, axis1=1, axis2=2))
+    _reject_first(eig_min < -PSD_FLOOR_RTOL * np.maximum(trace, scale),
+                  lambda i: f"energy at {keys[i]} not PSD (min eig {eig_min[i]:.3g})")
 
-    pos, neg = [], []
-    for i, row in enumerate(kv):
-        key = tuple(int(c) for c in row)
-        mirror = tuple(-c for c in key)
-        j = model._index.get(mirror)
-        if j is None:
-            raise SpectrumError(f"mirror site {mirror} of {key} is missing")
-        if model.gamma[i] != model.gamma[j]:
-            raise SpectrumError(f"gamma({key}) != gamma({mirror})")
-        if np.abs(model.energy[j] - model.energy[i].conj()).max() > \
-                HERMITIAN_RTOL * (1.0 + np.abs(model.energy[i]).max()):
-            raise SpectrumError(f"energy({mirror}) is not the conjugate of energy({key})")
-        _validate_energy(key, model.energy[i])
-        if key > mirror:
-            pos.append(i)
-            neg.append(j)
-    model.pair_pos = np.asarray(pos, dtype=int)
-    model.pair_neg = np.asarray(neg, dtype=int)
+    model.pair_pos = np.arange(size // 2, size)
+    model.pair_neg = size - 1 - model.pair_pos
     model.k_pos = model.k_float[model.pair_pos]
 
     # Hermitian square roots for the pair representatives; tiny negative

@@ -28,6 +28,15 @@ def body_of(path):
     return [ln for ln in lines if not ln.startswith("#")]
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures pulls in multiprocessing, a visible share of every CLI
+    # start; only run_trajectory_ensemble with threads > 1 imports it
+    probe = "import sys, tracerflow.cli; print('concurrent.futures' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------- parsing
 
 def test_minimal_config_gets_documented_defaults():
@@ -222,6 +231,17 @@ def test_seed_override_changes_output(small_cfg, tmp_path):
     assert run_cli("tracer", "--config", str(small_cfg), "--out", str(b),
                    "--seed-override", "999").returncode == 0
     assert body_of(a) != body_of(b)
+
+
+@pytest.mark.parametrize("simulation", [[1, 2], "x"])
+@pytest.mark.parametrize("override", [[], ["--seed-override", "3"]],
+                         ids=["plain", "seed_override"])
+def test_non_object_simulation_is_one_line_exit_1(tmp_path, simulation, override):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"simulation": simulation}))
+    res = run_cli("tracer", "--config", str(path), "--out",
+                  str(tmp_path / "t.csv"), *override)
+    assert_one_line_exit_1(res, "simulation: expected an object")
 
 
 def test_chain_subcommand_table(small_cfg, tmp_path):

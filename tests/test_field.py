@@ -11,8 +11,9 @@ from tracerflow import (FourierField, NumericalFailure, OUState,
                         noiseless_flow_step, observation_step, origin_drift,
                         origin_value, ou_exact_step, sample_stationary,
                         sobolev_norm, tangent_step, zero_field)
-from tracerflow.field import (_phase_factor, ens_observation_step, ens_ou_step,
-                              ens_pair_noise, modulus_decay_report, pair_noise)
+from tracerflow.field import (_phase_factor, ens_norm_m, ens_observation_step,
+                              ens_ou_step, ens_pair_noise, modulus_decay_report,
+                              pair_noise)
 from conftest import (model_of_dimension, pair_field, pair_row, single_pair_model,
                       zero_energy_model)
 
@@ -187,6 +188,27 @@ def test_ens_observation_step_in_place_is_the_out_of_place_step(
     got = ens_observation_step(m, state, dt, noise, out=state)
     assert got is state
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stacked_observation_steps_grow_the_norm_as_the_closed_form(default_model, seed):
+    # From the zero field, E ||Z_T||^2_{X^m} = sum_k |k|^{2m} Tr E(k) (1 - e^{-2 gamma(k) T})
+    # exactly for the splitting step: the phase factor has modulus e^{-gamma dt}
+    # and the noise is independent, mean zero and circular, so no cross term
+    # survives.  The stability probe's loop at the ergodic-stacked sizes; a step
+    # that decays over 2 dt reads z of -7 to -9 here, the kernel 0.29, 1.40, -0.76.
+    m, n, dt, steps = default_model, 150, 0.01, 50
+    rng = np.random.default_rng(seed)
+    cpos = np.zeros((n, m.n_pairs, m.dimension), dtype=complex)
+    scale = m.noise_scale(dt)
+    for _ in range(steps):
+        ens_observation_step(m, cpos, dt, ens_pair_noise(m, rng, scale, n), out=cpos)
+    sq = ens_norm_m(m, cpos) ** 2
+    trace = np.real(np.trace(m.energy, axis1=1, axis2=2))
+    closed = float((m.sobolev_weight(m.m) * trace
+                    * -np.expm1(-2.0 * m.gamma * steps * dt)).sum())
+    z = (sq.mean() - closed) / (sq.std(ddof=1) / math.sqrt(n))
+    assert abs(z) <= 4.0, z
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

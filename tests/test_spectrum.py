@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tracerflow import (SpectrumError, build_power_law_spectrum, check_h1,
                         check_h2, gamma_star, h2_tail_bound,
                         spectrum_from_tables)
+from tracerflow.spectrum import HERMITIAN_RTOL, PSD_FLOOR_RTOL
 from conftest import single_pair_model
 
 
@@ -124,6 +126,13 @@ def test_mode_table_validation_rejects_bad_energy():
         spectrum_from_tables(2, 1, {(1, 0): (0.0, np.eye(2))})  # gamma > 0
     with pytest.raises(SpectrumError):
         spectrum_from_tables(2, 1, {(0, 0): (1.0, np.eye(2))})
+    # k and -k both listed, with mismatched entries
+    with pytest.raises(SpectrumError, match=re.escape("gamma((-1, 0)) != gamma((1, 0))")):
+        spectrum_from_tables(2, 1, {(1, 0): (1.0, np.eye(2)), (-1, 0): (2.0, np.eye(2))})
+    herm = np.array([[1.0, 1j], [-1j, 1.0]])   # Hermitian and PSD, but not real
+    with pytest.raises(SpectrumError, match=re.escape(
+            "energy((1, 0)) is not the conjugate of energy((-1, 0))")):
+        spectrum_from_tables(2, 1, {(1, 0): (1.0, herm), (-1, 0): (1.0, herm)})
 
 
 def test_builder_rejections():
@@ -143,3 +152,57 @@ def test_psd_tolerance_accepts_projector_roundoff():
     # projectors produce eigenvalues at the -1e-16 level; they must pass
     m = build_power_law_spectrum(3, 2, 1.0, 4.0, "incompressible", 1.0, 2.0)
     assert m.size == 5 ** 3 - 1
+
+
+def _per_site_tables(model):
+    """The per-site validation and pairing loop the model build used to run,
+    kept as the reference for its vectorised form."""
+    kv = model.wavevectors
+    index = {tuple(int(c) for c in row): i for i, row in enumerate(kv)}
+    pos, neg = [], []
+    for i, row in enumerate(kv):
+        key = tuple(int(c) for c in row)
+        mirror = tuple(-c for c in key)
+        j = index[mirror]
+        assert model.gamma[i] == model.gamma[j]
+        e = model.energy[i]
+        assert np.abs(model.energy[j] - e.conj()).max() <= \
+            HERMITIAN_RTOL * (1.0 + np.abs(e).max())
+        scale = float(np.abs(e).max(initial=0.0))
+        if scale > 0.0:
+            assert np.abs(e - e.conj().T).max() <= HERMITIAN_RTOL * scale
+            eigs = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
+            trace = float(np.real(np.trace(e)))
+            assert eigs.min() >= -PSD_FLOOR_RTOL * max(trace, scale)
+        if key > mirror:
+            pos.append(i)
+            neg.append(j)
+    pos = np.asarray(pos, dtype=int)
+    w, v = np.linalg.eigh(model.energy[pos])
+    w = np.where(w > 0.0, w, 0.0)
+    sqrt_energy = np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj())
+    return index, pos, np.asarray(neg, dtype=int), kv.astype(float)[pos], sqrt_energy
+
+
+def _complex_hermitian_model():
+    return spectrum_from_tables(2, 2, {
+        (1, 0): (1.0, [[2.0, 1j], [-1j, 1.0]]),
+        (0, 1): (2.0, [[1.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]]),
+        (1, -2): (3.0, [[1.0, -0.3j], [0.3j, 0.5]]),
+        (-2, 2): (0.5, np.eye(2))})
+
+
+@pytest.mark.parametrize("d, K, projection", [
+    (d, K, p) for d in (1, 2, 3) for K in (1, 3, 8)
+    for p in ("full", "incompressible", "potential")
+    if not (d == 1 and p == "incompressible")] + [("tables", None, None)])
+def test_vectorised_build_is_the_per_site_loop(d, K, projection):
+    m = (_complex_hermitian_model() if d == "tables" else
+         build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0))
+    index, pos, neg, k_pos, sqrt_energy = _per_site_tables(m)
+    assert m._index == index
+    assert [type(k[0]) for k in m._index] == [int] * len(index)
+    for got, want in ((m.pair_pos, pos), (m.pair_neg, neg), (m.k_pos, k_pos),
+                      (m.sqrt_energy_pos, sqrt_energy)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
