@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .spectrum import (ModeSpec, SpectrumModel, SpectrumError,
+from .spectrum import (SpectrumModel, SpectrumError,
                        build_power_law_spectrum, spectrum_from_tables,
                        gamma_star, check_h1, check_h2, h2_tail_bound)
 from .field import (FourierField, OUState, NumericalFailure, zero_field,

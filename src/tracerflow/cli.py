@@ -45,11 +45,12 @@ class CheckFailure(RuntimeError):
     """A validation/acceptance style check did not meet its threshold."""
 
 
-def _build_model(cfg: ExperimentConfig):
+def _build_model(cfg: ExperimentConfig, truncation: int | None = None):
     sp = cfg.spectrum
-    return build_power_law_spectrum(sp.dimension, sp.truncation, sp.sigma0,
-                                    sp.decay_p, sp.projection, sp.gamma_coeff,
-                                    sp.gamma_power, m=sp.m, alpha=sp.alpha)
+    return build_power_law_spectrum(sp.dimension, truncation or sp.truncation,
+                                    sp.sigma0, sp.decay_p, sp.projection,
+                                    sp.gamma_coeff, sp.gamma_power,
+                                    m=sp.m, alpha=sp.alpha)
 
 
 def _manifest(cfg: ExperimentConfig, n_runs: int) -> RunManifest:
@@ -95,10 +96,7 @@ def _cmd_validate(cfg: ExperimentConfig, out: str, threads: int) -> None:
                            h2_full, 0.0)]
     converged = True
     if sp.truncation >= 2:
-        half = build_power_law_spectrum(sp.dimension, sp.truncation // 2,
-                                        sp.sigma0, sp.decay_p, sp.projection,
-                                        sp.gamma_coeff, sp.gamma_power,
-                                        m=sp.m, alpha=sp.alpha)
+        half = _build_model(cfg, sp.truncation // 2)
         h1_half = check_h1(half)
         h2_half = check_h2(half, H2_T_MAX, H2_QUAD_STEPS)
         rel1 = abs(h1_full - h1_half) / max(h1_full, 1e-300)

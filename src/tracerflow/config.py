@@ -89,7 +89,7 @@ def _coerce(path: str, value, expected):
     if expected is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list")
-        return [float(v) for v in value]
+        return [_coerce(f"{path}[{i}]", v, float) for i, v in enumerate(value)]
     return value
 
 

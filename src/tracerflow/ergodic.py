@@ -1,10 +1,11 @@
 """Empirical probes for ergodicity of the observation process.
 
 Everything here is a seeded Monte-Carlo diagnostic, not a proof device:
-time averages along runs, occupation lower bounds with a sliding-window
-liminf proxy, norm-moment scans certifying tightness via Chebyshev,
-noiseless-versus-noisy stability probes, and shared-noise coupling scans
-that upper-bound the equicontinuity modulus of the transition semigroup.
+time averages along runs, occupation of balls around the origin (the
+only centre measured) with a sliding-window liminf proxy, norm-moment
+scans certifying tightness via Chebyshev, noiseless-versus-noisy
+stability probes, and shared-noise coupling scans that upper-bound the
+equicontinuity modulus of the transition semigroup.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ class ObservableSpec:
 
     bounded_lipschitz_of_norm: tanh(||z||_{X^m}^2), bounded and Lipschitz.
     velocity_at_origin: component of z(0) (all components when None).
-    indicator_ball: 1{||z - center||_{X^m} < delta}.
+    indicator_ball: 1{||z||_{X^m} < delta}, the ball around the origin.
     """
 
     kind: str = "bounded_lipschitz_of_norm"
     component: int | None = None
-    center: FourierField | None = None
     delta: float | None = None
 
     def __post_init__(self):
@@ -49,7 +49,7 @@ class ObservableSpec:
     def from_norm(self, norms: np.ndarray) -> np.ndarray:
         if self.kind == "bounded_lipschitz_of_norm":
             return np.tanh(np.asarray(norms) ** 2)
-        if self.kind == "indicator_ball" and _is_zero_center(self.center):
+        if self.kind == "indicator_ball":
             return (np.asarray(norms) < self.delta).astype(float)
         raise ValueError(f"{self.kind} cannot be computed from norms alone")
 
@@ -58,10 +58,6 @@ class ObservableSpec:
             if self.component is None:
                 return record.velocities
             return record.velocities[:, self.component]
-        if self.kind == "indicator_ball" and not _is_zero_center(self.center):
-            if record.ref_distances is None:
-                raise ValueError("record lacks distances to the requested center")
-            return (record.ref_distances < self.delta).astype(float)
         return self.from_norm(record.field_norms)
 
     def on_stacked(self, model: SpectrumModel, cpos: np.ndarray) -> np.ndarray:
@@ -69,14 +65,7 @@ class ObservableSpec:
         if self.kind == "velocity_at_origin":
             vals = origin_value(FourierField(model, cpos))
             return vals if self.component is None else vals[..., self.component]
-        if self.kind == "indicator_ball" and not _is_zero_center(self.center):
-            dist = ens_norm_m(model, cpos - self.center.coeffs)
-            return (dist < self.delta).astype(float)
         return self.from_norm(ens_norm_m(model, cpos))
-
-
-def _is_zero_center(center: FourierField | None) -> bool:
-    return center is None or not np.any(center.coeffs)
 
 
 def _unit_direction(model: SpectrumModel, rng: np.random.Generator) -> FourierField:
@@ -91,13 +80,15 @@ def _unit_direction(model: SpectrumModel, rng: np.random.Generator) -> FourierFi
     return FourierField(model, f.coeffs / sobolev_norm(f, model.m))
 
 
+def _trapezoid_mean(series: np.ndarray, times: np.ndarray):
+    if times.size < 2:
+        raise ValueError("record too short to average")
+    return np.trapezoid(series, times, axis=0) / (times[-1] - times[0])
+
+
 def time_average(record: TrajectoryRecord, psi: ObservableSpec):
     """Trapezoid time average of the observable along the record."""
-    if record.times.size < 2:
-        raise ValueError("record too short to average")
-    series = psi.series(record)
-    span = record.times[-1] - record.times[0]
-    return np.trapezoid(series, record.times, axis=0) / span
+    return _trapezoid_mean(psi.series(record), record.times)
 
 
 def time_average_with_stderr(record: TrajectoryRecord, psi: ObservableSpec,
@@ -106,22 +97,11 @@ def time_average_with_stderr(record: TrajectoryRecord, psi: ObservableSpec,
     series = np.asarray(psi.series(record), dtype=float)
     if series.ndim != 1:
         raise ValueError("batch-means stderr needs a scalar observable")
-    avg = float(time_average(record, psi))
+    avg = float(_trapezoid_mean(series, record.times))
     batches = np.array_split(series, n_batches)
     means = np.array([b.mean() for b in batches if b.size])
     stderr = float(means.std(ddof=1) / math.sqrt(means.size))
     return avg, stderr
-
-
-@dataclass
-class OccupationReport:
-    fraction: float
-    window_min: float
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("occupation fraction outside [0, 1]")
 
 
 @dataclass
@@ -148,17 +128,16 @@ def summarize_run(record: TrajectoryRecord, psi: ObservableSpec,
     if delta is None:
         delta = 2.0 * float(np.median(record.field_norms))
     avg, se = time_average_with_stderr(record, psi)
-    occ = occupation_fraction(record, None, delta)
+    fraction, window_min = occupation_fraction(record, delta)
     return ErgodicReport(horizon=record.final_time, time_avg=avg,
-                         time_avg_stderr=se,
-                         occupation_fraction=occ.fraction,
-                         window_min=occ.window_min, delta=delta,
-                         seed=record.seed)
+                         time_avg_stderr=se, occupation_fraction=fraction,
+                         window_min=window_min, delta=delta, seed=record.seed)
 
 
-def occupation_fraction(record: TrajectoryRecord, z: FourierField | None,
-                        delta: float) -> OccupationReport:
-    """Fraction of recorded times with ||Z(t) - z||_{X^m} < delta.
+def occupation_fraction(record: TrajectoryRecord,
+                        delta: float) -> tuple[float, float]:
+    """(fraction, window_min) of recorded times with ||Z(t)||_{X^m} < delta,
+    the occupation of the ball of radius delta around the origin.
 
     window_min is a liminf proxy: the smallest window average among windows
     of width one quarter of the run sliding across its second half (an
@@ -166,20 +145,12 @@ def occupation_fraction(record: TrajectoryRecord, z: FourierField | None,
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if _is_zero_center(z):
-        dist = record.field_norms
-    elif record.ref_distances is not None:
-        dist = record.ref_distances
-    else:
-        raise ValueError("record lacks distances to the requested center; "
-                         "rerun with reference_field=z")
-    hits = (dist < delta).astype(float)
+    hits = (record.field_norms < delta).astype(float)
     n = hits.size
     half = n // 2
     width = max(1, n // 4)
     mins = [hits[s:s + width].mean() for s in range(half, n - width + 1)] or [hits[half:].mean()]
-    return OccupationReport(fraction=float(hits.mean()),
-                            window_min=float(min(mins)), delta=float(delta))
+    return float(hits.mean()), float(min(mins))
 
 
 def stationary_norm_moment(model: SpectrumModel, n: int) -> float:
@@ -364,18 +335,13 @@ def lln_test(model: SpectrumModel, psi: ObservableSpec, horizons, ensemble: int,
     from ._ensemble import run_trajectory_ensemble
     records = run_trajectory_ensemble(model, float(horizons[-1]), dt,
                                       record_every, seed, ensemble)
+    runs = [(psi.series(rec), rec) for rec in records]
     variances = np.empty(horizons.size)
     for i, T in enumerate(horizons):
         vals = []
-        for rec in records:
-            j = rec.index_at(T)
-            sub = TrajectoryRecord(times=rec.times[:j + 1],
-                                   positions=rec.positions[:j + 1],
-                                   displacements=rec.displacements[:j + 1],
-                                   velocities=rec.velocities[:j + 1],
-                                   field_norms=rec.field_norms[:j + 1],
-                                   seed=rec.seed, dt=rec.dt)
-            vals.append(time_average(sub, psi))
+        for series, rec in runs:
+            j = rec.index_at(T) + 1
+            vals.append(_trapezoid_mean(series[:j], rec.times[:j]))
         vals = np.asarray(vals, dtype=float)
         variances[i] = float(vals.var(ddof=1)) if vals.ndim == 1 else \
             float(vals.var(axis=0, ddof=1).mean())

@@ -16,7 +16,6 @@ real valued.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -28,15 +27,6 @@ PROJECTIONS = ("full", "incompressible", "potential")
 
 class SpectrumError(ValueError):
     """Invalid spectrum construction or lookup."""
-
-
-@dataclass(frozen=True)
-class ModeSpec:
-    """One lattice site: wavevector, mixing rate and energy matrix."""
-
-    k: tuple[int, ...]
-    gamma: float
-    energy: np.ndarray
 
 
 @dataclass
@@ -86,11 +76,6 @@ class SpectrumModel:
 
     def energy_of(self, k) -> np.ndarray:
         return self.energy[self._lookup(k)]
-
-    def modes(self) -> Iterator[ModeSpec]:
-        for i in range(self.size):
-            yield ModeSpec(tuple(int(c) for c in self.wavevectors[i]),
-                           float(self.gamma[i]), self.energy[i])
 
     def _lookup(self, k) -> int:
         key = tuple(int(c) for c in np.atleast_1d(k))

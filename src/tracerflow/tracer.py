@@ -41,7 +41,6 @@ class TrajectoryRecord:
     field_norms: np.ndarray      # (n,), X^m norm of the shifted field
     seed: int
     dt: float
-    ref_distances: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.times.size
@@ -109,15 +108,13 @@ def advect_step(tracer: TracerState, ou: OUState, dt: float,
 
 
 def run_lagrangian(model: SpectrumModel, T: float, dt: float,
-                   record_every: int, seed: int,
-                   reference_field: FourierField | None = None) -> TrajectoryRecord:
+                   record_every: int, seed: int) -> TrajectoryRecord:
     """Simulate one tracer through a stationary field realisation.
 
     The field starts from its invariant law, the tracer at the origin.  At
     each record point the run stores the field value at the tracer (the
     observation-process value at the origin) and the X^m norm of the field
-    recentred at the tracer.  With a reference_field given, the X^m distance
-    of the recentred field to it is recorded as well.
+    recentred at the tracer.
     """
     if T <= 0.0 or dt <= 0.0 or dt > T:
         raise ValueError("require 0 < dt <= T")
@@ -138,18 +135,13 @@ def run_lagrangian(model: SpectrumModel, T: float, dt: float,
     displacements = np.empty((n_rec, d))
     velocities = np.empty((n_rec, d))
     norms = np.empty(n_rec)
-    dists = np.empty(n_rec) if reference_field is not None else None
 
     def record(j, step):
         times[j] = step * dt
         positions[j] = tracer.position
         displacements[j] = tracer.displacement
         velocities[j] = evaluate(ou.field, tracer.position)
-        shifted = shift_field(ou.field, tracer.position)
-        norms[j] = sobolev_norm(shifted, model.m)
-        if dists is not None:
-            diff = FourierField(model, shifted.coeffs - reference_field.coeffs)
-            dists[j] = sobolev_norm(diff, model.m)
+        norms[j] = sobolev_norm(shift_field(ou.field, tracer.position), model.m)
 
     record(0, 0)
     j = 1
@@ -160,8 +152,7 @@ def run_lagrangian(model: SpectrumModel, T: float, dt: float,
             j += 1
     return TrajectoryRecord(times=times, positions=positions,
                             displacements=displacements, velocities=velocities,
-                            field_norms=norms, seed=int(seed), dt=dt,
-                            ref_distances=dists)
+                            field_norms=norms, seed=int(seed), dt=dt)
 
 
 def stokes_drift_estimate(records: list[TrajectoryRecord]) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -350,8 +351,17 @@ def test_ergodic_probe_records_carry_the_simulated_horizon(small_cfg, tmp_path):
     ("decay", "spectrum", "dimension", 1, "spectrum.projection"),
     ("field", "spectrum", "dimension", 1, "spectrum.projection"),
     ("tracer", "output", "format", "jsonl", "unknown key output"),
+    ("validate", "probe", "offsets", ["x"], "probe.offsets[0]: expected a number"),
+    ("validate", "probe", "offsets", [None], "probe.offsets[0]: expected a number"),
+    ("validate", "probe", "offsets", ["1.5"], "probe.offsets[0]: expected a number"),
+    ("validate", "probe", "offsets", [True], "probe.offsets[0]: expected a number"),
+    ("validate", "probe", "offsets", [math.nan], "probe.offsets[0]: must be finite"),
+    ("ergodic", "probe", "offsets", [math.inf, 0.5], "probe.offsets[0]: must be finite"),
+    ("validate", "probe", "horizons", [0.5, "x"], "probe.horizons[1]: expected a number"),
 ], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative",
-        "horizon_negative", "ergodic_d1", "decay_d1", "field_d1", "output_section"])
+        "horizon_negative", "ergodic_d1", "decay_d1", "field_d1", "output_section",
+        "offsets_string", "offsets_null", "offsets_numeric_string", "offsets_bool",
+        "offsets_nan", "offsets_infinity", "horizons_string_second"])
 def test_invalid_config_is_one_line_exit_1(small_cfg, tmp_path, subcommand, section,
                                            key, value, needle):
     cfg = json.loads(small_cfg.read_text())
@@ -373,13 +383,14 @@ TINY = {"spectrum": {"dimension": 2, "truncation": 2},
 
 
 def _single_field_mutations():
-    """Every numeric config field flipped in sign, zeroed, or (lists) reversed,
-    and the dimension set to 1."""
+    """Every numeric config field flipped in sign, zeroed, or (lists) reversed
+    or with a non-numeric or non-finite last entry, and the dimension set to 1."""
     out = [(("spectrum", "dimension"), 1)]
     for section, fields in asdict(parse_config(json.dumps(TINY))).items():
         for key, v in fields.items():
             if isinstance(v, list):
-                values = [v[::-1], [-x for x in v], [0.0] * len(v)]
+                values = [v[::-1], [-x for x in v], [0.0] * len(v),
+                          [*v[:-1], "x"], [*v[:-1], math.inf]]
             elif v is None:
                 values = [-1.0, 0.0]
             elif isinstance(v, (int, float)):
@@ -397,6 +408,7 @@ def _single_field_mutations():
 @example(mutation=(("probe", "offsets"), [-0.5, -0.25]))
 @example(mutation=(("probe", "horizons"), [0.0, 0.0]))
 @example(mutation=(("spectrum", "dimension"), 1))
+@example(mutation=(("probe", "offsets"), [0.5, "x"]))
 def test_cli_keeps_its_exit_codes_under_single_field_mutations(mutation):
     (section, key), value = mutation
     cfg = copy.deepcopy(TINY)

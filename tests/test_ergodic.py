@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from tracerflow import (FourierField, ObservableSpec, build_power_law_spectrum,
-                        e_property_probe, lln_test, moment_scan,
-                        occupation_fraction, run_lagrangian, sample_stationary,
-                        sobolev_norm, stability_probe, stationary_norm_moment,
-                        time_average, zero_field)
+from tracerflow import (FourierField, ObservableSpec, TrajectoryRecord,
+                        build_power_law_spectrum, e_property_probe, lln_test,
+                        moment_scan, occupation_fraction, run_lagrangian,
+                        run_trajectory_ensemble, sobolev_norm, stability_probe,
+                        stationary_norm_moment, time_average, zero_field)
 from tracerflow._util import derive_seed
 from tracerflow.ergodic import _unit_direction, time_average_with_stderr
 from tracerflow.field import _phase_factor, ens_norm_m, ens_pair_noise, ens_tile
@@ -56,42 +56,29 @@ def test_long_runs_agree_from_independent_starts(small_model):
 
 def test_occupation_saturates_for_large_radius(small_model):
     rec = run_lagrangian(small_model, T=2.0, dt=0.01, record_every=2, seed=4)
-    rep = occupation_fraction(rec, None, delta=1e9)
-    assert rep.fraction == 1.0
-    assert rep.window_min == 1.0
+    assert occupation_fraction(rec, delta=1e9) == (1.0, 1.0)
 
 
 def test_occupation_full_for_dead_field_at_origin():
     rec = run_lagrangian(zero_energy_model(), T=1.0, dt=0.01, record_every=2,
                          seed=5)
-    rep = occupation_fraction(rec, None, delta=1e-6)
-    assert rep.fraction == 1.0
+    fraction, _ = occupation_fraction(rec, delta=1e-6)
+    assert fraction == 1.0
 
 
 def test_occupation_above_half_at_twice_median_norm(small_model):
     rec = run_lagrangian(small_model, T=200.0, dt=0.02, record_every=5, seed=6)
     delta = 2.0 * float(np.median(rec.field_norms))
-    rep = occupation_fraction(rec, None, delta)
-    assert rep.fraction > 0.5
-    assert rep.window_min > 0.0
-    assert 0.0 <= rep.fraction <= 1.0
+    fraction, window_min = occupation_fraction(rec, delta)
+    assert fraction > 0.5
+    assert window_min > 0.0
+    assert 0.0 <= fraction <= 1.0
 
 
 def test_occupation_requires_positive_radius(small_model):
     rec = run_lagrangian(small_model, T=0.5, dt=0.01, record_every=5, seed=7)
     with pytest.raises(ValueError):
-        occupation_fraction(rec, None, 0.0)
-
-
-def test_occupation_distance_to_nonzero_center(small_model):
-    z = sample_stationary(small_model, np.random.default_rng(8))
-    rec = run_lagrangian(small_model, T=0.5, dt=0.01, record_every=5, seed=9,
-                         reference_field=z)
-    rep = occupation_fraction(rec, z, delta=1e9)
-    assert rep.fraction == 1.0
-    bare = run_lagrangian(small_model, T=0.5, dt=0.01, record_every=5, seed=9)
-    with pytest.raises(ValueError):
-        occupation_fraction(bare, z, delta=1.0)
+        occupation_fraction(rec, 0.0)
 
 
 # ---------------------------------------------------------------- moments
@@ -200,6 +187,47 @@ def test_lln_variance_decays_with_horizon(small_model):
     rep = lln_test(small_model, psi, horizons=[10.0, 40.0], ensemble=40,
                    seed=21, dt=0.02, record_every=2)
     assert rep.variances[1] <= 0.8 * rep.variances[0]
+
+
+def _lln_variances_by_record_rebuild(model, psi, horizons, ensemble, seed, dt,
+                                     record_every):
+    """Reference: one validated sub-record per run per horizon, averaged by
+    the trapezoid rule over its own times."""
+    horizons = np.asarray(sorted(horizons), dtype=float)
+    records = run_trajectory_ensemble(model, float(horizons[-1]), dt,
+                                      record_every, seed, ensemble)
+    variances = np.empty(horizons.size)
+    for i, T in enumerate(horizons):
+        vals = []
+        for rec in records:
+            j = rec.index_at(T)
+            sub = TrajectoryRecord(times=rec.times[:j + 1],
+                                   positions=rec.positions[:j + 1],
+                                   displacements=rec.displacements[:j + 1],
+                                   velocities=rec.velocities[:j + 1],
+                                   field_norms=rec.field_norms[:j + 1],
+                                   seed=rec.seed, dt=rec.dt)
+            span = sub.times[-1] - sub.times[0]
+            vals.append(np.trapezoid(psi.series(sub), sub.times, axis=0) / span)
+        vals = np.asarray(vals, dtype=float)
+        variances[i] = float(vals.var(ddof=1)) if vals.ndim == 1 else \
+            float(vals.var(axis=0, ddof=1).mean())
+    return variances
+
+
+@pytest.mark.parametrize("psi", [
+    TANH_NORM,
+    ObservableSpec("velocity_at_origin"),
+    ObservableSpec("velocity_at_origin", component=1),
+    ObservableSpec("indicator_ball", delta=2.0),
+], ids=["tanh_norm", "velocity", "velocity_1", "indicator_ball"])
+def test_lln_prefix_slices_are_the_record_rebuild_byte_for_byte(small_model, psi):
+    args = dict(horizons=[0.3, 0.6, 1.0], ensemble=5, seed=25, dt=0.02,
+                record_every=3)
+    rep = lln_test(small_model, psi, **args)
+    want = _lln_variances_by_record_rebuild(small_model, psi, **args)
+    assert rep.variances.tobytes() == want.tobytes()
+    assert np.all(want > 0.0)
 
 
 def test_lln_requires_two_horizons(small_model):

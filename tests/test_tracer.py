@@ -148,15 +148,6 @@ def test_position_is_displacement_mod_torus(small_model):
     assert dev.max() < 1e-9
 
 
-def test_reference_distance_recording(small_model):
-    z = sample_stationary(small_model, np.random.default_rng(70))
-    rec = run_lagrangian(small_model, T=0.5, dt=0.01, record_every=5, seed=9,
-                         reference_field=z)
-    assert rec.ref_distances is not None
-    assert rec.ref_distances.shape == rec.times.shape
-    assert np.all(rec.ref_distances >= 0)
-
-
 # ---------------------------------------------------------------- estimates
 
 def test_drift_estimate_zero_records():
