@@ -8,8 +8,7 @@ from .spectrum import (SpectrumModel, SpectrumError,
 from .field import (FourierField, OUState, NumericalFailure, zero_field,
                     sobolev_norm, apply_semigroup, evaluate, origin_value,
                     sample_stationary, ou_exact_step, covariance_oracle,
-                    origin_drift, noiseless_flow_step, observation_step,
-                    tangent_step)
+                    noiseless_flow_step, observation_step)
 from .tracer import (TracerState, TrajectoryRecord, shift_field, advect_step,
                      run_lagrangian, stokes_drift_estimate,
                      displacement_identity_gap)
@@ -17,13 +16,12 @@ from .ergodic import (ObservableSpec, ErgodicReport, time_average,
                       occupation_fraction, summarize_run, moment_scan,
                       stability_probe, e_property_probe, lln_test,
                       stationary_norm_moment)
-from .chain import (contraction_map, kernel_step, climb_probability,
-                    ladder_weights, ladder_survival_limit, exact_distribution,
+from .chain import (contraction_map, climb_probability, ladder_weights,
+                    ladder_survival_limit, exact_distribution,
                     kernel_power_exact, kernel_power_profile,
-                    kernel_power_closed_form, poissonized_semigroup,
-                    chain_probes, ChainDistribution, simulate_paths)
+                    kernel_power_closed_form, ChainDistribution, simulate_paths)
 from .config import (ExperimentConfig, ConfigError, parse_config,
                      serialize_config, config_hash, RunManifest)
-from ._ensemble import run_trajectory_ensemble, ensemble_seeds
+from ._ensemble import run_trajectory_ensemble
 
 __all__ = [name for name in dir() if not name.startswith("_")]

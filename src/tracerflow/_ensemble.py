@@ -12,10 +12,6 @@ from .spectrum import SpectrumModel
 from .tracer import TrajectoryRecord, run_lagrangian
 
 
-def ensemble_seeds(master_seed: int, n_runs: int) -> list[int]:
-    return [derive_seed(master_seed, i) for i in range(n_runs)]
-
-
 def _one_run(args) -> TrajectoryRecord:
     model, T, dt, record_every, seed = args
     return run_lagrangian(model, T, dt, record_every, seed)
@@ -24,8 +20,8 @@ def _one_run(args) -> TrajectoryRecord:
 def run_trajectory_ensemble(model: SpectrumModel, T: float, dt: float,
                             record_every: int, master_seed: int, n_runs: int,
                             threads: int = 1) -> list[TrajectoryRecord]:
-    seeds = ensemble_seeds(master_seed, n_runs)
-    jobs = [(model, T, dt, record_every, s) for s in seeds]
+    jobs = [(model, T, dt, record_every, derive_seed(master_seed, i))
+            for i in range(n_runs)]
     if threads <= 1 or n_runs == 1:
         return [_one_run(j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor   # only a pool pays its import

@@ -11,11 +11,8 @@ which is exactly the combination this module lets you measure.
 The contraction maps parts of [-5, -1] into the gap (-1, 1) that the state
 space omits (for instance -3 -> 0); the dynamics here extend the
 deterministic branch to every x < 1 so the process is defined everywhere,
-and the probes flag gap visits rather than hiding them.
-
-A continuous-time semigroup is obtained by subordinating the chain to a
-unit-rate Poisson clock; it is evaluated directly as a Poisson mixture of
-chain powers, never by event simulation.
+and :func:`simulate_paths` reports gap visits (``visited_gap``) rather than
+hiding them.
 """
 
 from __future__ import annotations
@@ -38,20 +35,6 @@ def contraction_map(x: float) -> float:
 def climb_probability(x: float) -> float:
     """Probability exp(-1/x^2) of moving from x >= 1 up the ladder to x + 1."""
     return math.exp(-1.0 / (x * x))
-
-
-def kernel_step(x: float, rng: np.random.Generator) -> float:
-    """One transition of the chain from x.
-
-    x = 0 is rejected: it lies in the gap the declared state space omits,
-    although the extended dynamics do pass through it (see module docstring).
-    """
-    if x == 0.0:
-        raise ValueError("state 0 is outside the chain's state space")
-    x, u = float(x), float(rng.random())
-    if x >= 1.0:
-        return x + 1.0 if u < climb_probability(x) else -x
-    return contraction_map(x)
 
 
 def _paths(x0: float, n_steps: int, n_paths: int, seed: int):
@@ -221,103 +204,6 @@ def kernel_power_closed_form(x: float, n: int, f) -> float:
     return math.fsum([total, stay[n] * f(x + float(n))])
 
 
-def poisson_truncation(t: float) -> int:
-    return int(math.ceil(t + 10.0 * math.sqrt(t) + 20.0))
-
-
-def poissonized_semigroup(x: float, t: float, f, tol: float = 1e-10) -> float:
-    """Continuous-time value sum_n e^{-t} t^n/n! E[f(X_n)] from x.
-
-    Truncated at N = ceil(t + 10 sqrt(t) + 20); the neglected Poisson tail
-    mass is checked against tol (assuming |f| <= 1 scaling; rescale tol for
-    larger observables).  f must be a pure function of the state.
-    """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if t == 0.0:
-        return float(f(x))
-    n_max = poisson_truncation(t)
-    log_t = math.log(t)
-    weights = np.exp(np.array([n * log_t - t - math.lgamma(n + 1)
-                               for n in range(n_max + 1)]))
-    tail = 1.0 - float(weights.sum())
-    if tail > tol / 2.0:
-        raise ValueError(f"Poisson tail {tail:.3g} above tolerance; increase t headroom")
-    terms = [w * math.fsum((p * fv).tolist()) for w, (p, fv) in zip(weights, _sweep(x, n_max, f))]
-    return float(sum(terms[1:], terms[0]))
-
-
 def default_observable(x: float) -> float:
     """Bounded Lipschitz probe observable."""
     return math.tanh(x)
-
-
-@dataclass
-class ChainProbeReport:
-    x: float
-    n_max: int
-    equicontinuity: dict        # y -> max_{n<=n_max} |P^n f(x) - P^n f(y)|
-    never_jumped_max_error: float
-    survival_limit: float
-    escape_fraction: float      # MC share with |state| > R at the large horizon
-    never_fell_fraction: float  # MC share that never left the ladder
-    reescape_fraction: float    # MC share beyond R despite having fallen
-    escape_stderr: float
-    gap_visit_fraction: float
-    mc_vs_exact_sigma: float    # |MC mean f - exact| in MC standard errors
-    R: float
-    n_large: int
-    mc_paths: int
-
-
-def chain_probes(x: float, ys, n_max: int = 40, R: float = 10.0,
-                 n_large: int = 100, mc_paths: int = 100_000,
-                 f=default_observable, seed: int = 0) -> ChainProbeReport:
-    """Equicontinuity, escape-mass and Monte-Carlo consistency probes.
-
-    (a) E(y) = max_{n<=n_max} |P^n f(x) - P^n f(y)| for each y near x, the
-        quantity that must vanish as y -> x for the semigroup to be
-        equicontinuous;
-    (b) the exact probability of the all-climbs path at each n <= n_max
-        against the ladder survival weight (they agree to roundoff);
-    (c) the fraction of mc_paths beyond radius R at n_large against the
-        survival limit, with the re-escape surplus reported separately.
-    f must be a pure function of the state.
-    """
-    if n_max > 40:
-        raise ValueError("probe horizon capped at 40")
-    base = kernel_power_profile(x, n_max, f)
-    equi = {}
-    for y in ys:
-        prof = kernel_power_profile(float(y), n_max, f)
-        equi[float(y)] = float(np.abs(prof - base).max())
-
-    stay, _ = ladder_weights(x, n_max)
-    worst = max(abs(p[v == x + float(n)].sum() - stay[n])
-                for n, (p, v) in enumerate(_sweep(x, n_max, float)))
-
-    finals, fell, gap = simulate_paths(x, n_large, mc_paths, seed)
-    escaped = np.abs(finals) > R
-    esc_frac = float(escaped.mean())
-    esc_se = math.sqrt(max(esc_frac * (1 - esc_frac), 1e-12) / mc_paths)
-    never_fell = float((~fell).mean())
-    reescape = float((escaped & fell).mean())
-
-    mc_short, _, _ = simulate_paths(x, n_max, mc_paths, seed + 1)
-    vals = np.vectorize(f)(mc_short)
-    exact = float(base[n_max])
-    se = float(vals.std(ddof=1) / math.sqrt(mc_paths))
-    sigma = abs(float(vals.mean()) - exact) / se if se > 0 else 0.0
-
-    return ChainProbeReport(x=float(x), n_max=n_max, equicontinuity=equi,
-                            never_jumped_max_error=float(worst),
-                            survival_limit=ladder_survival_limit(x),
-                            escape_fraction=esc_frac,
-                            never_fell_fraction=never_fell,
-                            reescape_fraction=reescape,
-                            escape_stderr=esc_se,
-                            gap_visit_fraction=float(gap.mean()),
-                            mc_vs_exact_sigma=float(sigma),
-                            R=float(R), n_large=n_large, mc_paths=mc_paths)

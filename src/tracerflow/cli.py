@@ -163,7 +163,7 @@ def _cmd_tracer(cfg: ExperimentConfig, out: str, threads: int) -> None:
         mean, stderr = stokes_drift_estimate(records)
         drift_lines = [_probe_record(
             cfg, "stokes_drift",
-            {"T": sim.T, "ensemble": sim.ensemble, "component": i},
+            {"T": records[0].final_time, "ensemble": sim.ensemble, "component": i},
             float(mean[i]), float(stderr[i])) for i in range(mean.size)]
         _write_jsonl(out + ".drift.jsonl", manifest, drift_lines)
 
@@ -196,13 +196,13 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
                          derive_seed(seed, 101))
     summary = summarize_run(rec, psi, delta=pr.delta)
     lines.append(_probe_record(cfg, "occupation_fraction",
-                               {"delta": summary.delta, "T": sim.T},
+                               {"delta": summary.delta, "T": summary.horizon},
                                summary.occupation_fraction, 0.0))
     lines.append(_probe_record(cfg, "occupation_window_min",
-                               {"delta": summary.delta, "T": sim.T},
+                               {"delta": summary.delta, "T": summary.horizon},
                                summary.window_min, 0.0))
     lines.append(_probe_record(cfg, "time_average",
-                               {"observable": pr.observable, "T": sim.T},
+                               {"observable": pr.observable, "T": summary.horizon},
                                summary.time_avg, summary.time_avg_stderr))
 
     scan = moment_scan(model, pr.R, pr.n, T=min(sim.T, 10.0),
@@ -215,14 +215,14 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
     eps = pr.eps if pr.eps is not None else \
         3.0 * math.sqrt(stationary_norm_moment(model, 1))
-    stab = stability_probe(model, None, eps, T=min(sim.T, 2.0),
+    stab = stability_probe(model, eps, T=min(sim.T, 2.0),
                            ensemble=max(sim.ensemble, 2),
                            seed=derive_seed(seed, 103), dt=sim.dt)
     lines.append(_probe_record(cfg, "stability_probe",
                                {"eps": eps, "T": stab.horizon},
                                stab.probability, stab.stderr))
 
-    coup = e_property_probe(model, None, pr.offsets, psi, T=min(sim.T, 2.0),
+    coup = e_property_probe(model, pr.offsets, psi, T=min(sim.T, 2.0),
                             ensemble=max(sim.ensemble, 2),
                             seed=derive_seed(seed, 104), dt=sim.dt)
     for h, dval, se in zip(coup.offsets, coup.profile, coup.stderr):
@@ -233,7 +233,7 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
     if len(horizons) >= 2:
         lln = lln_test(model, psi, horizons, ensemble=max(sim.ensemble, 2),
                        seed=derive_seed(seed, 105), dt=sim.dt,
-                       record_every=sim.record_every)
+                       record_every=sim.record_every, threads=threads)
         for T, var in zip(lln.horizons, lln.variances):
             lines.append(_probe_record(cfg, "lln_variance",
                                        {"T": float(T),

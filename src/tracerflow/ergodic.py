@@ -25,6 +25,7 @@ from .tracer import TrajectoryRecord
 OBSERVABLE_KINDS = ("bounded_lipschitz_of_norm", "velocity_at_origin",
                     "indicator_ball")
 MOMENT_GRID_DT = 0.1
+_STDERR_BATCHES = 20   # batch means behind time_average_with_stderr
 
 
 @dataclass(frozen=True)
@@ -91,14 +92,14 @@ def time_average(record: TrajectoryRecord, psi: ObservableSpec):
     return _trapezoid_mean(psi.series(record), record.times)
 
 
-def time_average_with_stderr(record: TrajectoryRecord, psi: ObservableSpec,
-                             n_batches: int = 20) -> tuple[float, float]:
+def time_average_with_stderr(record: TrajectoryRecord,
+                             psi: ObservableSpec) -> tuple[float, float]:
     """Time average plus a batch-means standard error (scalar observables)."""
     series = np.asarray(psi.series(record), dtype=float)
     if series.ndim != 1:
         raise ValueError("batch-means stderr needs a scalar observable")
     avg = float(_trapezoid_mean(series, record.times))
-    batches = np.array_split(series, n_batches)
+    batches = np.array_split(series, _STDERR_BATCHES)
     means = np.array([b.mean() for b in batches if b.size])
     stderr = float(means.std(ddof=1) / math.sqrt(means.size))
     return avg, stderr
@@ -233,14 +234,14 @@ class StabilityReport:
     horizon: float
 
 
-def stability_probe(model: SpectrumModel, x: FourierField | None, eps: float,
-                    T: float, ensemble: int, seed: int,
-                    dt: float = 1e-3) -> StabilityReport:
-    """Fraction of noisy runs staying eps-close in X^m to the noiseless flow at T."""
+def stability_probe(model: SpectrumModel, eps: float, T: float, ensemble: int,
+                    seed: int, dt: float = 1e-3) -> StabilityReport:
+    """Fraction of noisy runs from the zero field staying eps-close in X^m to
+    the noiseless flow from the zero field at T."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
-    x = x if x is not None else zero_field(model)
+    x = zero_field(model)
     n_steps = int(round(T / dt))
     y = x
     for _ in range(n_steps):
@@ -266,21 +267,20 @@ class CouplingReport:
     horizon: float
 
 
-def e_property_probe(model: SpectrumModel, x: FourierField | None,
-                     offsets, psi: ObservableSpec, T: float, ensemble: int,
-                     seed: int, dt: float = 1e-3,
+def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
+                     T: float, ensemble: int, seed: int, dt: float = 1e-3,
                      record_stride: int = 10) -> CouplingReport:
-    """Shared-noise coupling estimate of sup_t |P_t psi(x) - P_t psi(x + h v)|.
+    """Shared-noise coupling estimate of sup_t |P_t psi(0) - P_t psi(h v)|.
 
     For each offset h the probe runs coupled members (identical noise within
-    a pair, independent across pairs) from x and x + h v along a fixed unit
-    direction v, and reports D(h) = max over recorded times of the absolute
-    difference of the ensemble means.  h = 0 gives exactly zero.  This is a
-    diagnostic upper-bound estimator for the equicontinuity modulus, not a
-    proof reproduction.
+    a pair, independent across pairs) from the zero field 0 and from h v
+    along a fixed unit direction v, and reports D(h) = max over recorded
+    times of the absolute difference of the ensemble means.  h = 0 gives
+    exactly zero.  This is a diagnostic upper-bound estimator for the
+    equicontinuity modulus, not a proof reproduction.
     """
     rng = np.random.default_rng(seed)
-    x = x if x is not None else zero_field(model)
+    x = zero_field(model)
     direction = _unit_direction(model, rng)
     n_steps = int(round(T / dt))
     scale = model.noise_scale(dt)
@@ -322,27 +322,29 @@ class LLNReport:
 
 
 def lln_test(model: SpectrumModel, psi: ObservableSpec, horizons, ensemble: int,
-             seed: int, dt: float = 1e-2, record_every: int = 1) -> LLNReport:
+             seed: int, dt: float = 1e-2, record_every: int = 1,
+             threads: int = 1) -> LLNReport:
     """Ensemble variance of the time average of psi at nested horizons.
 
-    One ensemble is run to the largest horizon; shorter horizons reuse the
-    same realisations (same seeds, nested in time), so the reported ratios
-    isolate the averaging-window effect.
+    One ensemble is run to the largest horizon, on threads processes; shorter
+    horizons reuse the same realisations (same seeds, nested in time), so the
+    reported ratios isolate the averaging-window effect.  The reported
+    horizons are the record times where the windows end.
     """
     horizons = np.asarray(sorted(horizons), dtype=float)
     if horizons.size < 2:
         raise ValueError("need at least two horizons")
     from ._ensemble import run_trajectory_ensemble
     records = run_trajectory_ensemble(model, float(horizons[-1]), dt,
-                                      record_every, seed, ensemble)
-    runs = [(psi.series(rec), rec) for rec in records]
+                                      record_every, seed, ensemble, threads)
+    times = records[0].times   # every run records at the same times
+    series = [psi.series(rec) for rec in records]
     variances = np.empty(horizons.size)
     for i, T in enumerate(horizons):
-        vals = []
-        for series, rec in runs:
-            j = rec.index_at(T) + 1
-            vals.append(_trapezoid_mean(series[:j], rec.times[:j]))
-        vals = np.asarray(vals, dtype=float)
+        j = records[0].index_at(T) + 1
+        horizons[i] = times[j - 1]
+        vals = np.asarray([_trapezoid_mean(s[:j], times[:j]) for s in series],
+                          dtype=float)
         variances[i] = float(vals.var(ddof=1)) if vals.ndim == 1 else \
             float(vals.var(axis=0, ddof=1).mean())
     ratios = variances[1:] / np.where(variances[:-1] > 0, variances[:-1], np.nan)

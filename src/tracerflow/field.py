@@ -9,8 +9,7 @@ Every kernel takes coefficients of shape (..., n_pairs, d), one field or a
 stack of members.  The module provides the Sobolev norms, the decay
 semigroup, exact Ornstein-Uhlenbeck stepping (one step equals the continuous
 transition kernel in law, for any step size), the noiseless observation
-flow, the Galerkin splitting step for the noisy observation process, and its
-tangent (first-variation) flow.
+flow and the Galerkin splitting step for the noisy observation process.
 
 Stiff handling: per mode the linear part contributes an exact factor
 exp(-gamma(k) dt), so the Runge-Kutta stages here act on the integrating-
@@ -28,6 +27,7 @@ import numpy as np
 from .spectrum import SpectrumModel
 
 _SQRT2 = np.sqrt(2.0)
+_DECAY_CHECKPOINTS = 20   # modulus_decay_report compares at about this many times
 
 
 class NumericalFailure(RuntimeError):
@@ -53,11 +53,6 @@ class OUState:
 
 def zero_field(model: SpectrumModel) -> FourierField:
     return FourierField(model, np.zeros((model.n_pairs, model.dimension), dtype=complex))
-
-
-def _require_same_model(a: FourierField, b: FourierField) -> None:
-    if a.model is not b.model:
-        raise ValueError("fields belong to different spectrum models")
 
 
 def _check_finite(coeffs: np.ndarray, what: str) -> None:
@@ -173,18 +168,6 @@ def covariance_oracle(model: SpectrumModel, h: float, k) -> np.ndarray:
     return np.exp(-model.gamma[i] * h) * model.energy[i]
 
 
-def origin_drift(psi: FourierField, phi: FourierField) -> FourierField:
-    """Advection of phi by the value of psi at the origin.
-
-    Coefficientwise i (u . k) phi_hat(k) with u = psi(0); u is real, so the
-    multiplier at -k is the conjugate of the one at k and phi stays real.
-    """
-    _require_same_model(psi, phi)
-    u = origin_value(psi)
-    mult = 1j * (u @ phi.model.k_pos.T)
-    return FourierField(phi.model, mult[..., None] * phi.coeffs)
-
-
 def noiseless_flow_step(f: FourierField, dt: float) -> FourierField:
     """One step of the noiseless observation flow c' = (-gamma + i u(t).k) c.
 
@@ -261,41 +244,6 @@ def observation_step(f: FourierField, dt: float,
     return FourierField(m, ens_observation_step(m, f.coeffs, dt, noise))
 
 
-def tangent_step(z: FourierField, u_tan: FourierField, dt: float) -> FourierField:
-    """One step of the first-variation flow along the observation dynamics.
-
-    With the base state z frozen over the step, the tangent field U obeys
-    U'(k) = (-gamma + i z0.k) U(k) + i (U(0).k) z_hat(k), z0 = z(0).
-    Same integrating-factor Runge-Kutta as the noiseless flow, so z = 0
-    reduces exactly to the decay semigroup.
-    """
-    _require_same_model(z, u_tan)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    m = z.model
-    kt = m.k_pos.T
-    phase = (1j * (origin_value(z) @ kt))[..., None]
-    zc = z.coeffs
-    e_half = m.decay(dt / 2.0)
-    e_full = m.decay(dt)
-    g_half = 1.0 / e_half
-    g_full = 1.0 / e_full
-    w0 = u_tan.coeffs
-
-    def rhs(w, decay, grow):
-        u0 = 2.0 * np.einsum("p,...pd->...d", decay, w.real)
-        return phase * w + grow[:, None] * ((1j * (u0 @ kt))[..., None] * zc)
-
-    ones = m.decay(0.0)
-    k1 = rhs(w0, ones, ones)
-    k2 = rhs(w0 + (0.5 * dt) * k1, e_half, g_half)
-    k3 = rhs(w0 + (0.5 * dt) * k2, e_half, g_half)
-    k4 = rhs(w0 + dt * k3, e_full, g_full)
-    out = (w0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * e_full[:, None]
-    _check_finite(out, "tangent_step")
-    return FourierField(m, out)
-
-
 # ---------------------------------------------------------------------------
 # Entry points on bare (members, n_pairs, d) stacks for the probe modules; they
 # share the kernels above, and ens_pair_noise draws as pair_noise does.
@@ -325,7 +273,7 @@ def ens_ou_step(model: SpectrumModel, cpos: np.ndarray, dt: float,
 # Field-level diagnostics shared by the CLI and the acceptance suite.
 
 def modulus_decay_report(model: SpectrumModel, n_starts: int, horizon: float,
-                         dt: float, seed: int, checkpoints: int = 20) -> dict:
+                         dt: float, seed: int) -> dict:
     """Max relative error of per-mode |c(k,t)| against exp(-gamma t)|c(k,0)|.
 
     Also verifies the norm contraction ||Y(t)|| <= exp(-gamma* t)||Y(0)||
@@ -333,7 +281,7 @@ def modulus_decay_report(model: SpectrumModel, n_starts: int, horizon: float,
     """
     rng = np.random.default_rng(seed)
     n_steps = int(round(horizon / dt))
-    stride = max(1, n_steps // checkpoints)
+    stride = max(1, n_steps // _DECAY_CHECKPOINTS)
     gstar = float(model.gamma.min())
     g = model.gamma[model.pair_pos]
     w = ens_pair_noise(model, rng, None, n_starts)
@@ -357,7 +305,7 @@ def modulus_decay_report(model: SpectrumModel, n_starts: int, horizon: float,
         worst_norm_excess = max(worst_norm_excess, float(excess))
     return {"max_rel_modulus_error": worst_rel,
             "max_norm_excess": worst_norm_excess,
-            "n_starts": n_starts, "horizon": horizon, "dt": dt}
+            "n_starts": n_starts, "horizon": n_steps * dt, "dt": dt}
 
 
 def ou_covariance_report(model: SpectrumModel, ensemble: int, lags: tuple,

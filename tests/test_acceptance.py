@@ -155,7 +155,7 @@ def test_criterion_5_lln_stokes_drift(tracer_ensemble):
 
 def test_criterion_6_coupling_equicontinuity(model):
     psi = ObservableSpec("bounded_lipschitz_of_norm")
-    rep = e_property_probe(model, None, [1.0, 0.5, 0.25, 0.125, 0.0], psi,
+    rep = e_property_probe(model, [1.0, 0.5, 0.25, 0.125, 0.0], psi,
                            T=0.75, ensemble=150, seed=MASTER_SEED + 5,
                            dt=1e-3, record_stride=5)
     d = rep.profile

@@ -4,16 +4,14 @@ import math
 import numpy as np
 import pytest
 from scipy.special import polygamma
-from scipy.stats import poisson
 
 from tracerflow import cli
 from tracerflow._util import derive_seed
 from tracerflow.chain import MAX_EXACT_DEPTH, _sweep
-from tracerflow import (ChainDistribution, chain_probes, climb_probability,
-                        contraction_map, exact_distribution, kernel_power_exact,
+from tracerflow import (ChainDistribution, climb_probability, contraction_map,
+                        exact_distribution, kernel_power_exact,
                         kernel_power_closed_form, kernel_power_profile,
-                        kernel_step, ladder_survival_limit, ladder_weights,
-                        poissonized_semigroup, simulate_paths)
+                        ladder_survival_limit, ladder_weights, simulate_paths)
 
 F = math.tanh
 
@@ -25,22 +23,6 @@ def test_contraction_map_values():
     assert contraction_map(-3.0) == 0.0    # lands in the omitted gap
 
 
-def test_kernel_step_fixed_point():
-    rng = np.random.default_rng(0)
-    assert all(kernel_step(-1.0, rng) == -1.0 for _ in range(20))
-
-
-def test_kernel_step_branch_targets():
-    rng = np.random.default_rng(1)
-    seen = {kernel_step(1.0, rng) for _ in range(200)}
-    assert seen == {-1.0, 2.0}
-
-
-def test_kernel_step_rejects_origin():
-    with pytest.raises(ValueError):
-        kernel_step(0.0, np.random.default_rng(0))
-
-
 def test_branch_frequency_matches_climb_probability():
     finals, _, _ = simulate_paths(2.0, 1, 100_000, seed=2)
     frac_up = float((finals == 3.0).mean())
@@ -48,6 +30,14 @@ def test_branch_frequency_matches_climb_probability():
     assert p == pytest.approx(math.exp(-0.25), abs=0)
     sigma = math.sqrt(p * (1 - p) / 100_000)
     assert abs(frac_up - p) < 3 * sigma
+
+    # the share of paths that never fell from 2 in 100 steps is the ladder
+    # survival weight, which sits just above its limit
+    _, fell, _ = simulate_paths(2.0, 100, 100_000, seed=7)
+    stay = ladder_weights(2.0, 100)[0][100]
+    never_fell_se = math.sqrt(stay * (1 - stay) / 100_000)
+    assert abs(float((~fell).mean()) - stay) < 3 * never_fell_se
+    assert 0.0 < stay - ladder_survival_limit(2.0) < 0.01
 
 
 # ---------------------------------------------------------------- weights
@@ -157,79 +147,6 @@ def test_monte_carlo_agrees_with_tree():
     exact = kernel_power_exact(1.0, n, F)
     se = vals.std(ddof=1) / math.sqrt(paths)
     assert abs(vals.mean() - exact) < 3 * se
-
-
-# ---------------------------------------------------------------- semigroup
-
-def test_poissonized_at_time_zero():
-    assert poissonized_semigroup(1.7, 0.0, F) == F(1.7)
-
-
-@pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
-def test_poissonized_preserves_constants(t):
-    assert poissonized_semigroup(1.5, t, lambda v: 4.2) == pytest.approx(4.2, abs=1e-9)
-
-
-def test_poissonized_is_sup_norm_contraction():
-    for x in (-3.0, 1.0, 2.5):
-        for t in (0.1, 1.0, 5.0):
-            assert abs(poissonized_semigroup(x, t, F)) <= 1.0 + 1e-12
-
-
-def test_poissonized_deterministic_orbit_oracle():
-    # from a negative start the path is the deterministic orbit, so the
-    # value is a plain Poisson average along it
-    x, t = -3.0, 2.0
-    orbit = [x]
-    for _ in range(80):
-        orbit.append(contraction_map(orbit[-1]))
-    weights = poisson.pmf(np.arange(81), t)
-    oracle = float(np.sum(weights * np.tanh(orbit)))
-    assert poissonized_semigroup(x, t, F) == pytest.approx(oracle, abs=1e-9)
-
-
-# ---------------------------------------------------------------- probes
-
-def test_probe_zero_offset_is_exact_zero():
-    rep = chain_probes(1.5, ys=[1.5], n_max=10, mc_paths=1000, seed=4)
-    assert rep.equicontinuity[1.5] == 0.0
-
-
-def test_probe_equicontinuity_shrinks_toward_base():
-    rep = chain_probes(1.5, ys=[1.6, 1.51, 1.501], n_max=40, mc_paths=1000,
-                       seed=5)
-    e = [rep.equicontinuity[y] for y in (1.6, 1.51, 1.501)]
-    assert e[0] > e[1] > e[2] > 0.0
-
-
-def test_probe_never_jumped_tracks_ladder_weight():
-    rep = chain_probes(1.0, ys=[1.1], n_max=40, mc_paths=1000, seed=6)
-    assert rep.never_jumped_max_error <= 1e-14
-
-
-def test_probe_escape_mass_matches_survival():
-    rep = chain_probes(2.0, ys=[2.1], n_max=20, R=10.0, n_large=100,
-                       mc_paths=100_000, seed=7)
-    stay_n, _ = ladder_weights(2.0, 100)
-    never_fell_se = math.sqrt(stay_n[100] * (1 - stay_n[100]) / rep.mc_paths)
-    assert abs(rep.never_fell_fraction - stay_n[100]) < 3 * never_fell_se
-    # the survival limit sits just below the finite-horizon mass
-    assert 0.0 < stay_n[100] - rep.survival_limit < 0.01
-    # escaped = never-fell plus the separately reported re-escape surplus
-    assert abs(rep.escape_fraction - rep.reescape_fraction
-               - rep.never_fell_fraction) < 1e-12
-    assert rep.mc_vs_exact_sigma < 3.0
-
-
-def test_probe_flags_gap_visits():
-    rep = chain_probes(2.0, ys=[2.1], n_max=10, n_large=50, mc_paths=2000,
-                       seed=8)
-    assert rep.gap_visit_fraction > 0.2   # falls from height 2 pass through -0.5
-
-
-def test_probe_depth_cap():
-    with pytest.raises(ValueError):
-        chain_probes(1.0, ys=[1.1], n_max=41)
 
 
 # ---------------------------------------------------------------- oracles

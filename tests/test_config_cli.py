@@ -327,18 +327,60 @@ def test_ergodic_observable_config_is_exit_1(small_cfg, tmp_path, probe, needle)
 
 
 def test_ergodic_probe_records_carry_the_simulated_horizon(small_cfg, tmp_path):
-    # the probes run to min(T, 2.0) = 2.0, which rounds to 7 steps of 0.3
+    base = json.loads(small_cfg.read_text())
+    for simulation, horizons in [
+            ({"T": 3.0, "dt": 0.3}, []),   # the probes' min(T, 2.0) rounds to 7 steps of 0.3
+            ({"T": 0.7, "dt": 0.01, "record_every": 1}, [0.35, 0.7])]:   # 70 * 0.01 != 0.7
+        cfg = copy.deepcopy(base)
+        cfg["simulation"].update(simulation)
+        cfg["probe"].update(observable="velocity_at_origin", component=1,
+                            horizons=horizons)
+        small_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "e.jsonl"
+        res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        T, dt = simulation["T"], simulation["dt"]
+        run_T, probe_T = round(T / dt) * dt, round(min(T, 2.0) / dt) * dt
+        want = {"occupation_fraction": [run_T], "occupation_window_min": [run_T],
+                "time_average": [run_T], "stability_probe": [probe_T],
+                "e_property": [probe_T, probe_T],
+                "lln_variance": [round(h / dt) * dt for h in horizons]}
+        got = {}
+        for r in map(json.loads, body_of(out)):
+            if "T" in r["params"]:
+                got.setdefault(r["probe"], []).append(r["params"]["T"])
+        assert got == {probe: ts for probe, ts in want.items() if ts}, simulation
+
+
+def test_tracer_and_decay_records_carry_the_simulated_horizon(small_cfg, tmp_path):
     cfg = json.loads(small_cfg.read_text())
-    cfg["simulation"].update(T=3.0, dt=0.3)
-    cfg["probe"].update(observable="velocity_at_origin", component=1, horizons=[])
+    cfg["simulation"].update(T=0.7, dt=0.01)
     small_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    assert run_cli("tracer", "--config", str(small_cfg), "--out", str(out)).returncode == 0
+    last_t = float(body_of(out)[-1].split(",")[1])
+    assert last_t == 70 * 0.01
+    drift = [json.loads(ln) for ln in body_of(str(out) + ".drift.jsonl")]
+    assert [r["params"]["T"] for r in drift] == [last_t, last_t]
+    out = tmp_path / "d.jsonl"
+    assert run_cli("decay", "--config", str(small_cfg), "--out", str(out)).returncode == 0
+    decay = [json.loads(ln) for ln in body_of(out)]
+    assert decay[0]["params"]["horizon"] == 70 * 0.01
+
+
+def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch):
+    from tracerflow import _ensemble
+    real, seen = _ensemble.run_trajectory_ensemble, []
+
+    def spy(*args):
+        seen.append(args[6:])
+        return real(*args[:6])   # one process: the bodies do not depend on it
+
+    monkeypatch.setattr(_ensemble, "run_trajectory_ensemble", spy)
     out = tmp_path / "e.jsonl"
-    res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
-    assert res.returncode == 0, res.stderr
-    recs = [json.loads(ln) for ln in body_of(out)]
-    probed = [r for r in recs if r["probe"] in ("stability_probe", "e_property")]
-    assert len(probed) == 3
-    assert {r["params"]["T"] for r in probed} == {7 * 0.3}
+    assert cli.main(["ergodic", "--config", str(small_cfg), "--out", str(out),
+                     "--threads", "3"]) == 0
+    assert seen == [(3,)]
 
 
 @pytest.mark.parametrize("subcommand, section, key, value, needle", [

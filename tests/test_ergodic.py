@@ -127,20 +127,20 @@ def test_moment_closed_form_limited_to_low_orders(default_model):
 
 def test_stability_certain_without_noise():
     m = zero_energy_model()
-    rep = stability_probe(m, None, eps=1e-9, T=0.5, ensemble=16, seed=14,
+    rep = stability_probe(m, eps=1e-9, T=0.5, ensemble=16, seed=14,
                           dt=1e-2)
     assert rep.probability == 1.0
 
 
 def test_stability_certain_for_huge_tolerance(small_model):
-    rep = stability_probe(small_model, None, eps=1e9, T=0.2, ensemble=16,
+    rep = stability_probe(small_model, eps=1e9, T=0.2, ensemble=16,
                           seed=15, dt=1e-2)
     assert rep.probability == 1.0
 
 
 def test_stability_high_within_noise_ball(default_model):
     eps = 3.0 * math.sqrt(stationary_norm_moment(default_model, 1))
-    rep = stability_probe(default_model, None, eps, T=1.0, ensemble=200,
+    rep = stability_probe(default_model, eps, T=1.0, ensemble=200,
                           seed=16, dt=1e-3)
     assert rep.probability > 0.9
 
@@ -148,7 +148,7 @@ def test_stability_high_within_noise_ball(default_model):
 # ---------------------------------------------------------------- coupling
 
 def test_coupling_gap_vanishes_at_zero_offset(small_model):
-    rep = e_property_probe(small_model, None, [0.5, 0.0], TANH_NORM, T=0.3,
+    rep = e_property_probe(small_model, [0.5, 0.0], TANH_NORM, T=0.3,
                            ensemble=40, seed=17, dt=1e-2, record_stride=5)
     assert rep.profile[-1] == 0.0
 
@@ -158,14 +158,14 @@ def test_coupling_gap_bounded_by_lipschitz_offset():
     # is at most the observable's Lipschitz constant times the offset
     m = zero_energy_model(gammas={(1, 0): 1.0, (0, 1): 1.0, (1, 1): 2.0})
     lip = lipschitz_of_tanh_sq()
-    rep = e_property_probe(m, None, [1.0, 0.5], TANH_NORM, T=1.0,
+    rep = e_property_probe(m, [1.0, 0.5], TANH_NORM, T=1.0,
                            ensemble=4, seed=18, dt=1e-2, record_stride=10)
     for h, gap in zip(rep.offsets, rep.profile):
         assert gap <= 1.1 * lip * h
 
 
 def test_coupling_profile_monotone_within_noise(small_model):
-    rep = e_property_probe(small_model, None, [1.0, 0.5, 0.25], TANH_NORM,
+    rep = e_property_probe(small_model, [1.0, 0.5, 0.25], TANH_NORM,
                            T=0.5, ensemble=60, seed=19, dt=2e-3,
                            record_stride=10)
     for i in range(rep.offsets.size - 1):
@@ -267,7 +267,7 @@ def test_run_summary_bundles_diagnostics(small_model):
 
 def test_coupling_offsets_must_decrease(small_model):
     with pytest.raises(ValueError):
-        e_property_probe(small_model, None, [0.25, 0.5], TANH_NORM, T=0.1,
+        e_property_probe(small_model, [0.25, 0.5], TANH_NORM, T=0.1,
                          ensemble=4, seed=25, dt=0.01)
 
 
@@ -332,7 +332,7 @@ def test_probes_are_the_allocating_loops_byte_for_byte(d, K):
     _, _, dist = _allocating_stability(m, 1.0, T, n, 31, dt)
     eps = float(np.median(dist))   # half the members inside, so drift moves some across
     p, se, _ = _allocating_stability(m, eps, T, n, 31, dt)
-    rep = stability_probe(m, None, eps, T=T, ensemble=n, seed=31, dt=dt)
+    rep = stability_probe(m, eps, T=T, ensemble=n, seed=31, dt=dt)
     assert (rep.probability, rep.stderr) == (p, se)
     # the velocity gap peaks at t = 0 here; the ball, which holds both starts,
     # has its gap later, so the profile depends on the steps
@@ -341,7 +341,7 @@ def test_probes_are_the_allocating_loops_byte_for_byte(d, K):
     offsets = [1.0, 0.3, 0.0]
     for psi in (ObservableSpec("velocity_at_origin", component=1), ball):
         profile, stderr = _allocating_coupling(m, offsets, psi, T, n, 32, dt, 5)
-        coup = e_property_probe(m, None, offsets, psi, T=T, ensemble=n, seed=32,
+        coup = e_property_probe(m, offsets, psi, T=T, ensemble=n, seed=32,
                                 dt=dt, record_stride=5)
         assert coup.profile.tobytes() == profile.tobytes()
         assert coup.stderr.tobytes() == stderr.tobytes()
@@ -349,7 +349,7 @@ def test_probes_are_the_allocating_loops_byte_for_byte(d, K):
 
 def test_probes_report_the_horizon_they_simulate(small_model):
     # T = 0.2 at dt = 0.03 rounds to 7 steps, i.e. t = 0.21
-    rep = stability_probe(small_model, None, 1e9, T=0.2, ensemble=4, seed=33, dt=0.03)
-    coup = e_property_probe(small_model, None, [0.5], TANH_NORM, T=0.2,
+    rep = stability_probe(small_model, 1e9, T=0.2, ensemble=4, seed=33, dt=0.03)
+    coup = e_property_probe(small_model, [0.5], TANH_NORM, T=0.2,
                             ensemble=4, seed=34, dt=0.03)
     assert rep.horizon == coup.horizon == 7 * 0.03

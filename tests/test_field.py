@@ -8,9 +8,9 @@ from scipy.stats import ks_2samp
 from tracerflow import (FourierField, NumericalFailure, OUState,
                         SpectrumError, apply_semigroup,
                         build_power_law_spectrum, covariance_oracle, evaluate,
-                        noiseless_flow_step, observation_step, origin_drift,
-                        origin_value, ou_exact_step, sample_stationary,
-                        sobolev_norm, tangent_step, zero_field)
+                        noiseless_flow_step, observation_step, origin_value,
+                        ou_exact_step, sample_stationary, sobolev_norm,
+                        zero_field)
 from tracerflow.field import (_phase_factor, ens_norm_m, ens_observation_step,
                               ens_ou_step, ens_pair_noise, modulus_decay_report,
                               pair_noise)
@@ -295,39 +295,6 @@ def test_covariance_oracle_values(small_model):
         covariance_oracle(m, 0.1, (5, 5))
 
 
-# ---------------------------------------------------------------- drift form
-
-def test_origin_drift_single_mode():
-    m = single_pair_model()
-    psi = pair_field(m, (1, 0), [0.5, 0.0])      # psi(0) = (1, 0)
-    assert np.allclose(origin_value(psi), [1.0, 0.0])
-    c = 0.8
-    phi = pair_field(m, (1, 0), [c, 0.0])
-    out = origin_drift(psi, phi)
-    np.testing.assert_allclose(out.coeffs[pair_row(m, (1, 0))], [1j * c, 0.0],
-                               atol=1e-15)
-
-
-def test_origin_drift_zero_argument(small_model):
-    rng = np.random.default_rng(2)
-    psi = sample_stationary(small_model, rng)
-    out = origin_drift(psi, zero_field(small_model))
-    assert not np.any(out.coeffs)
-
-
-def test_origin_drift_energy_identity(small_model):
-    m = small_model
-    rng = np.random.default_rng(3)
-    w = m.sobolev_weight(m.m)[m.pair_pos]
-    for _ in range(100):
-        psi = sample_stationary(m, rng)
-        b = origin_drift(psi, psi)
-        # each representative stands for itself and its mirror
-        ip = 2.0 * float(np.real(np.sum(w[:, None] * np.conj(psi.coeffs) * b.coeffs)))
-        nrm = sobolev_norm(psi, m.m)
-        assert abs(ip) <= 1e-12 * nrm ** 3
-
-
 # ---------------------------------------------------------------- flows
 
 def test_noiseless_flow_fixed_point_zero(small_model):
@@ -401,55 +368,6 @@ def test_observation_step_detects_nonfinite(small_model):
     f = FourierField(small_model, c)
     with pytest.raises(NumericalFailure):
         observation_step(f, 1e-3, np.random.default_rng(0))
-
-
-# ---------------------------------------------------------------- tangent
-
-def test_tangent_zero_stays_zero(small_model):
-    rng = np.random.default_rng(4)
-    z = sample_stationary(small_model, rng)
-    u = zero_field(small_model)
-    for _ in range(20):
-        u = tangent_step(z, u, 1e-2)
-    assert not np.any(u.coeffs)
-
-
-def test_tangent_reduces_to_semigroup_for_zero_base(small_model):
-    rng = np.random.default_rng(5)
-    u0 = sample_stationary(small_model, rng)
-    out = tangent_step(zero_field(small_model), u0, 1e-3)
-    ref = apply_semigroup(u0, 1e-3)
-    assert np.abs(out.coeffs - ref.coeffs).max() <= 1e-8
-
-
-def test_tangent_matches_shared_noise_finite_difference(small_model):
-    m = small_model
-    rng0 = np.random.default_rng(9)
-    x = sample_stationary(m, rng0)
-    v = sample_stationary(m, rng0)
-    v = FourierField(m, v.coeffs / sobolev_norm(v, m.m))
-    eps, dt, n_steps, noise_seed = 1e-4, 1e-3, 500, 777
-
-    def run(start):
-        rng = np.random.default_rng(noise_seed)
-        z = start
-        for _ in range(n_steps):
-            z = observation_step(z, dt, rng)
-        return z
-
-    za = run(x)
-    zb = run(FourierField(m, x.coeffs + eps * v.coeffs))
-    fd = (zb.coeffs - za.coeffs) / eps
-
-    rng = np.random.default_rng(noise_seed)
-    z, u = x, v
-    for _ in range(n_steps):
-        u = tangent_step(z, u, dt)
-        z = observation_step(z, dt, rng)
-    w = m.sobolev_weight(m.m)[m.pair_pos, None]
-    err = math.sqrt(float(np.sum(w * np.abs(fd - u.coeffs) ** 2)))
-    scale = math.sqrt(float(np.sum(w * np.abs(u.coeffs) ** 2)))
-    assert err / scale < 1e-2
 
 
 # ---------------------------------------------------------------- invariants

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tracerflow import (FourierField, apply_semigroup, evaluate, noiseless_flow_step,
-                        origin_value, shift_field, sobolev_norm, tangent_step)
+                        origin_value, shift_field, sobolev_norm)
 from tracerflow.field import _ou, ens_observation_step
 from conftest import model_of_dimension
 
@@ -73,23 +73,6 @@ def oracle_observation(model, full, dt):
     u = oracle_origin(full)
     factor = np.exp((-model.gamma + 1j * (u @ model.k_float.T)) * dt)
     return full * factor[..., None]
-
-
-def oracle_tangent(model, zf, uf, dt):
-    k = model.k_float
-    phase = (1j * (oracle_origin(zf) @ k.T))[..., None]
-    e_half, e_full = site_decay(model, dt / 2.0), site_decay(model, dt)
-
-    def rhs(w, decay, grow):
-        u0 = np.real((w * decay[:, None]).sum(axis=-2))
-        return phase * w + grow[:, None] * ((1j * (u0 @ k.T))[..., None] * zf)
-
-    ones = site_decay(model, 0.0)
-    k1 = rhs(uf, ones, ones)
-    k2 = rhs(uf + (0.5 * dt) * k1, e_half, 1.0 / e_half)
-    k3 = rhs(uf + (0.5 * dt) * k2, e_half, 1.0 / e_half)
-    k4 = rhs(uf + dt * k3, e_full, 1.0 / e_full)
-    return (uf + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * e_full[:, None]
 
 
 # ------------------------------------------------ property tests
@@ -156,7 +139,3 @@ def test_steps_agree_with_the_full_table_steps(d, lead, seed, dt):
                  oracle_observation(m, full, dt), mass)
     assert_close(full_table(m, noiseless_flow_step(f, dt).coeffs),
                  oracle_noiseless(m, full, dt), mass)
-
-    u = unit_mass_slice(m, lead, rng)
-    assert_close(full_table(m, tangent_step(f, FourierField(m, u), dt).coeffs),
-                 oracle_tangent(m, full, full_table(m, u), dt), mass)
