@@ -8,7 +8,7 @@ from .spectrum import (SpectrumModel, SpectrumError,
 from .field import (FourierField, OUState, NumericalFailure, zero_field,
                     sobolev_norm, apply_semigroup, evaluate, origin_value,
                     sample_stationary, ou_exact_step, covariance_oracle,
-                    noiseless_flow_step, observation_step)
+                    noiseless_flow_step)
 from .tracer import (TracerState, TrajectoryRecord, shift_field, advect_step,
                      run_lagrangian, stokes_drift_estimate,
                      displacement_identity_gap)

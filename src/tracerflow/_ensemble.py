@@ -25,5 +25,5 @@ def run_trajectory_ensemble(model: SpectrumModel, T: float, dt: float,
     if threads <= 1 or n_runs == 1:
         return [_one_run(j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor   # only a pool pays its import
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, n_runs)) as pool:
         return list(pool.map(_one_run, jobs))

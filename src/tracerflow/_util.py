@@ -1,4 +1,4 @@
-"""Seed derivation and small shared helpers."""
+"""Counter-based seed derivation."""
 
 from __future__ import annotations
 
@@ -25,14 +25,3 @@ def derive_seed(master: int, index: int) -> int:
         raise ValueError("run index must be nonnegative")
     return splitmix64((int(master) + index * _GOLDEN) & _MASK64)
 
-
-def kahan_sum(terms) -> float:
-    """Compensated summation of an iterable of floats."""
-    total = 0.0
-    carry = 0.0
-    for t in terms:
-        y = t - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-    return total

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import kahan_sum
-
 MAX_EXACT_DEPTH = 60
 
 
@@ -95,14 +93,14 @@ def ladder_weights(x: float, n: int):
 def ladder_survival_limit(x: float) -> float:
     """lim_n of the ladder survival probability: exp(-sum_{j>=0} (x+j)^{-2}).
 
-    The series is summed with compensation up to N terms and closed with the
+    The first N terms are summed correctly rounded (math.fsum) and closed with the
     Euler-Maclaurin tail 1/(x+N) + 1/(2(x+N)^2) + 1/(6(x+N)^3), whose
     truncation error is below 1e-12 for the N used.
     """
     if x < 1.0:
         raise ValueError("defined for x >= 1")
     n_terms = 400
-    total = kahan_sum(1.0 / (x + j) ** 2 for j in range(n_terms))
+    total = math.fsum(1.0 / (x + j) ** 2 for j in range(n_terms))
     y = x + n_terms
     tail = 1.0 / y + 1.0 / (2.0 * y ** 2) + 1.0 / (6.0 * y ** 3)
     return math.exp(-(total + tail))

@@ -39,6 +39,7 @@ H2_T_MAX = 20.0
 H2_QUAD_STEPS = 4000
 CONVERGENCE_RTOL = 0.10
 DECAY_TOL = 1e-6
+MAX_THREADS = 64   # --threads ceiling
 
 
 class CheckFailure(RuntimeError):
@@ -288,23 +289,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.threads > MAX_THREADS:
+            raise ConfigError(f"--threads: must be <= {MAX_THREADS}")
         try:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        if args.seed_override is not None:
-            try:
-                raw = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
-            if isinstance(raw, dict):
-                raw.pop("seed", None)
-                sim = raw.setdefault("simulation", {})
-                if isinstance(sim, dict):   # else parse_config rejects the section
-                    sim["seed"] = args.seed_override
-            text = json.dumps(raw)
-        cfg = parse_config(text)
+        cfg = parse_config(text, seed=args.seed_override)
         _HANDLERS[args.subcommand](cfg, args.out, max(1, args.threads))
     except (ConfigError, SpectrumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

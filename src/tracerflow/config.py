@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ._util import derive_seed
 from .chain import MAX_EXACT_DEPTH
@@ -59,9 +59,6 @@ class ExperimentConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
 
-_SECTION_TYPES = {"spectrum": SpectrumConfig, "simulation": SimulationConfig,
-                  "probe": ProbeConfig}
-
 # Documented top-level shorthands for quick configs.
 _SHORTHAND = {"dimension": ("spectrum", "dimension"),
               "K": ("spectrum", "truncation"),
@@ -86,29 +83,23 @@ def _coerce(path: str, value, expected):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string")
         return value
-    if expected is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list")
-        return [_coerce(f"{path}[{i}]", v, float) for i, v in enumerate(value)]
-    return value
+    if not isinstance(value, list):   # expected is list
+        raise ConfigError(f"{path}: expected a list")
+    return [_coerce(f"{path}[{i}]", v, float) for i, v in enumerate(value)]
 
 
-_FIELD_TYPES = {
-    "spectrum": {"dimension": int, "truncation": int, "sigma0": float,
-                 "decay_p": float, "projection": str, "gamma_coeff": float,
-                 "gamma_power": float, "m": int, "alpha": float},
-    "simulation": {"dt": float, "T": float, "ensemble": int,
-                   "record_every": int, "seed": int},
-    "probe": {"observable": str, "component": int, "delta": float,
-              "eps": float, "offsets": list, "horizons": list, "R": float,
-              "n": int, "chain_x": list, "chain_n_max": int, "mc_paths": int},
-}
-
-_OPTIONAL_NONE = {("probe", "delta"), ("probe", "eps")}
+_TYPES = {"int": int, "float": float, "str": str, "list": list}
+# {section: {key: (type, nullable)}}, read off the annotations ("float | None")
+_SCHEMA = {s.name: {f.name: (_TYPES[f.type.split(" | ")[0]], f.type.endswith(" | None"))
+                    for f in fields(s.default_factory)}
+           for s in fields(ExperimentConfig)}
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON config document; unknown keys are rejected."""
+def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate a JSON config document; unknown keys are rejected.
+
+    seed, when given, replaces the document's seed or supplies a missing one.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -116,20 +107,22 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    sections = {name: {} for name in _SECTION_TYPES}
+    sections = {name: {} for name in _SCHEMA}
 
     def assign(sec, sub, value):
+        if seed is not None and (sec, sub) == ("simulation", "seed"):
+            return
         if sub in sections[sec]:
             raise ConfigError(f"{sec}.{sub} set twice")
         sections[sec][sub] = value
 
     for key, value in raw.items():
-        if key in _SECTION_TYPES:
+        if key in _SCHEMA:
             if not isinstance(value, dict):
                 raise ConfigError(f"{key}: expected an object")
             for sub, sv in value.items():
                 sub = _SECTION_ALIASES.get((key, sub), sub)
-                if sub not in _FIELD_TYPES[key]:
+                if sub not in _SCHEMA[key]:
                     raise ConfigError(f"unknown key {key}.{sub}")
                 assign(key, sub, sv)
         elif key in _SHORTHAND:
@@ -137,16 +130,17 @@ def parse_config(text: str) -> ExperimentConfig:
             assign(sec, sub, value)
         else:
             raise ConfigError(f"unknown key {key}")
+    if seed is not None:
+        sections["simulation"]["seed"] = seed
 
     cfg = ExperimentConfig()
     for name, data in sections.items():
         target = getattr(cfg, name)
         for sub, value in data.items():
-            path = f"{name}.{sub}"
-            if value is None and (name, sub) in _OPTIONAL_NONE:
-                setattr(target, sub, None)
-                continue
-            setattr(target, sub, _coerce(path, value, _FIELD_TYPES[name][sub]))
+            expected, nullable = _SCHEMA[name][sub]
+            if not (value is None and nullable):
+                value = _coerce(f"{name}.{sub}", value, expected)
+            setattr(target, sub, value)
     _validate(cfg)
     return cfg
 

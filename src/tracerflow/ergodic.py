@@ -115,7 +115,6 @@ class ErgodicReport:
     occupation_fraction: float
     window_min: float
     delta: float
-    seed: int
 
     def __post_init__(self):
         if not 0.0 <= self.occupation_fraction <= 1.0:
@@ -132,7 +131,7 @@ def summarize_run(record: TrajectoryRecord, psi: ObservableSpec,
     fraction, window_min = occupation_fraction(record, delta)
     return ErgodicReport(horizon=record.final_time, time_avg=avg,
                          time_avg_stderr=se, occupation_fraction=fraction,
-                         window_min=window_min, delta=delta, seed=record.seed)
+                         window_min=window_min, delta=delta)
 
 
 def occupation_fraction(record: TrajectoryRecord,
@@ -180,8 +179,6 @@ class MomentScan:
     max_value: float
     settled_max: float
     stationary_value: float | None
-    R: float
-    n: int
 
 
 def moment_scan(model: SpectrumModel, R: float, n: int, T: float,
@@ -193,6 +190,10 @@ def moment_scan(model: SpectrumModel, R: float, n: int, T: float,
     full-grid max certifies finiteness, settled_max (max over t >= T/2) is
     the plateau to compare with the stationary closed form.  Chebyshev on
     these moments yields the tightness certificate.
+
+    For norm observables these exact OU steps are an exact stand-in for the
+    observation process: its advective factor is a pure phase per conjugate
+    pair and the noise is circular, so the mode moduli follow the OU law.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -223,7 +224,7 @@ def moment_scan(model: SpectrumModel, R: float, n: int, T: float,
     return MomentScan(times=times, ensemble_means=means,
                       max_value=float(means.max()),
                       settled_max=float(settled.max()),
-                      stationary_value=stat, R=float(R), n=int(n))
+                      stationary_value=stat)
 
 
 @dataclass
@@ -318,7 +319,6 @@ def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
 class LLNReport:
     horizons: np.ndarray
     variances: np.ndarray
-    ratios: np.ndarray     # variance[i+1] / variance[i]
 
 
 def lln_test(model: SpectrumModel, psi: ObservableSpec, horizons, ensemble: int,
@@ -328,8 +328,8 @@ def lln_test(model: SpectrumModel, psi: ObservableSpec, horizons, ensemble: int,
 
     One ensemble is run to the largest horizon, on threads processes; shorter
     horizons reuse the same realisations (same seeds, nested in time), so the
-    reported ratios isolate the averaging-window effect.  The reported
-    horizons are the record times where the windows end.
+    variances differ by the averaging window alone.  The reported horizons
+    are the record times where the windows end.
     """
     horizons = np.asarray(sorted(horizons), dtype=float)
     if horizons.size < 2:
@@ -347,5 +347,4 @@ def lln_test(model: SpectrumModel, psi: ObservableSpec, horizons, ensemble: int,
                           dtype=float)
         variances[i] = float(vals.var(ddof=1)) if vals.ndim == 1 else \
             float(vals.var(axis=0, ddof=1).mean())
-    ratios = variances[1:] / np.where(variances[:-1] > 0, variances[:-1], np.nan)
-    return LLNReport(horizons=horizons, variances=variances, ratios=ratios)
+    return LLNReport(horizons=horizons, variances=variances)

@@ -28,6 +28,7 @@ from .spectrum import SpectrumModel
 
 _SQRT2 = np.sqrt(2.0)
 _DECAY_CHECKPOINTS = 20   # modulus_decay_report compares at about this many times
+_TOP_MODES = 10           # sites checked by ou_covariance_report
 
 
 class NumericalFailure(RuntimeError):
@@ -84,22 +85,18 @@ def origin_value(f: FourierField) -> np.ndarray:
     return 2.0 * np.einsum("...pd->...d", f.coeffs.real)
 
 
-def _eval(coeffs: np.ndarray, k: np.ndarray, xi: np.ndarray, jacobian: bool = False):
-    """2 Re sum_p c_p e^{i k_p.xi}, and with jacobian its derivative in xi."""
-    phases = np.exp(1j * (k @ xi))
-    value = 2.0 * (phases @ coeffs).real
-    if not jacobian:
-        return value
-    return value, -2.0 * ((coeffs * phases[:, None]).mT @ k).imag
+def _eval(coeffs: np.ndarray, k: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """2 Re sum_p c_p e^{i k_p.xi}."""
+    return 2.0 * (np.exp(1j * (k @ xi)) @ coeffs).real
 
 
-def evaluate(f: FourierField, xi, jacobian: bool = False):
-    """Trigonometric synthesis of the field (and optionally its Jacobian) at xi.
+def evaluate(f: FourierField, xi) -> np.ndarray:
+    """Trigonometric synthesis of the field at xi.
 
     Exact at off-grid points; cost O(n_pairs).  The sum runs over the
     representatives and takes twice its real part, so the value is real.
     """
-    return _eval(f.coeffs, f.model.k_pos, np.asarray(xi, dtype=float), jacobian)
+    return _eval(f.coeffs, f.model.k_pos, np.asarray(xi, dtype=float))
 
 
 def _pair_draw(model: SpectrumModel, rng: np.random.Generator,
@@ -210,11 +207,12 @@ def _phase_factor(phase: np.ndarray, decay: np.ndarray) -> np.ndarray:
 def ens_observation_step(model: SpectrumModel, cpos: np.ndarray, dt: float,
                          noise: np.ndarray | None,
                          out: np.ndarray | None = None) -> np.ndarray:
-    """The splitting step of observation_step on coefficients (..., n_pairs, d),
-    given its noise increment (None: the deterministic substep alone).
-
-    The result goes to out (a new array when None), which may be cpos itself:
-    the origin value is taken before anything is written.
+    """Galerkin splitting step for the noisy observation process on
+    coefficients (..., n_pairs, d): multiply mode k by exp((-gamma(k) + i u.k) dt)
+    with u, the origin value, frozen at the step start (weak order 1), then
+    add the exact Ornstein-Uhlenbeck increment noise (None: the deterministic
+    substep alone).  The result goes to out (a new array when None), which
+    may be cpos itself: the origin value is taken before anything is written.
     """
     u = origin_value(FourierField(model, cpos))             # (..., d)
     phase = (u @ model.k_pos.T) * dt                        # (..., n_pairs)
@@ -227,21 +225,6 @@ def ens_observation_step(model: SpectrumModel, cpos: np.ndarray, dt: float,
         out += noise
     _check_finite(out.view(float), "an observation step")
     return out
-
-
-def observation_step(f: FourierField, dt: float,
-                     rng: np.random.Generator) -> FourierField:
-    """Galerkin splitting step for the noisy observation process.
-
-    Deterministic substep: multiply mode k by exp((-gamma(k) + i u.k) dt)
-    with u frozen at the step start (weak order 1); then add the exact
-    Ornstein-Uhlenbeck noise increment.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    m = f.model
-    noise = pair_noise(m, rng, m.noise_scale(dt), f.coeffs.shape[:-2])
-    return FourierField(m, ens_observation_step(m, f.coeffs, dt, noise))
 
 
 # ---------------------------------------------------------------------------
@@ -309,39 +292,34 @@ def modulus_decay_report(model: SpectrumModel, n_starts: int, horizon: float,
 
 
 def ou_covariance_report(model: SpectrumModel, ensemble: int, lags: tuple,
-                         seed: int, top_modes: int = 10) -> dict:
+                         seed: int) -> dict:
     """Monte-Carlo check of the mode covariances against the closed form.
 
     Equal-time: Frobenius-relative error of the empirical per-site
     covariance versus energy(k).  Lag h: trace correlation versus
-    exp(-gamma(k) h) (absolute deviation).  Restricted to the top_modes
+    exp(-gamma(k) h) (absolute deviation).  Restricted to the _TOP_MODES
     sites of largest energy trace.
     """
     rng = np.random.default_rng(seed)
     cpos0 = ens_pair_noise(model, rng, None, ensemble)
-    tr_all = np.real(np.trace(model.energy, axis1=1, axis2=2))
-    tr = tr_all[model.pair_pos]
+    tr = np.real(np.trace(model.energy, axis1=1, axis2=2))[model.pair_pos]
     # mirror sites carry conjugate statistics, so checking the top
-    # representative pairs covers at least the top_modes sites
-    order = np.lexsort((np.arange(tr.size), -tr))
-    sel = order[:top_modes]
+    # representative pairs covers at least the _TOP_MODES sites
+    sel = np.lexsort((np.arange(tr.size), -tr))[:_TOP_MODES]
     energy_pos = model.energy[model.pair_pos]
     gamma_pos = model.gamma[model.pair_pos]
 
     def site_cov(a, b, i):
         return (a[:, i, :, None] * b[:, i, None, :].conj()).mean(axis=0)
 
-    eq_err = []
+    eq_err, pseudo = [], []
     for i in sel:
         cov = site_cov(cpos0, cpos0, i)
         eq_err.append(float(np.linalg.norm(cov - energy_pos[i]) /
                             np.linalg.norm(energy_pos[i])))
-
-    lag_err = {}
-    pseudo = []
-    for i in sel:
         pc = (cpos0[:, i, :, None] * cpos0[:, i, None, :]).mean(axis=0)
         pseudo.append(float(np.linalg.norm(pc)))
+    lag_err = {}
     for h in lags:
         shifted = ens_ou_step(model, cpos0, float(h), rng)
         errs = []
@@ -350,9 +328,7 @@ def ou_covariance_report(model: SpectrumModel, ensemble: int, lags: tuple,
             rho = num / tr[i]
             errs.append(abs(rho - float(np.exp(-gamma_pos[i] * h))))
         lag_err[float(h)] = max(errs)
-    sel_sites = model.pair_pos[sel]
     return {"max_eqtime_frobenius_rel": max(eq_err),
             "max_lag_corr_abs_err": lag_err,
             "max_pseudo_cov_norm": max(pseudo),
-            "ensemble": ensemble,
-            "modes_checked": [tuple(map(int, model.wavevectors[i])) for i in sel_sites]}
+            "ensemble": ensemble}

@@ -55,7 +55,6 @@ class SpectrumModel:
     k_float: np.ndarray = field(default=None, repr=False)
     k_norm: np.ndarray = field(default=None, repr=False)
     pair_pos: np.ndarray = field(default=None, repr=False)
-    pair_neg: np.ndarray = field(default=None, repr=False)
     k_pos: np.ndarray = field(default=None, repr=False)
     sqrt_energy_pos: np.ndarray = field(default=None, repr=False)
     _index: dict = field(default=None, repr=False)
@@ -157,7 +156,6 @@ def _finalize(model: SpectrumModel) -> SpectrumModel:
                   lambda i: f"energy at {keys[i]} not PSD (min eig {eig_min[i]:.3g})")
 
     model.pair_pos = np.arange(size // 2, size)
-    model.pair_neg = size - 1 - model.pair_pos
     model.k_pos = model.k_float[model.pair_pos]
 
     # Hermitian square roots for the pair representatives; tiny negative

@@ -44,11 +44,10 @@ class TrajectoryRecord:
 
     def __post_init__(self):
         n = self.times.size
-        for arr in (self.positions, self.displacements, self.velocities):
+        for arr in (self.positions, self.displacements, self.velocities,
+                    self.field_norms):
             if arr.shape[0] != n:
                 raise ValueError("record columns have unequal lengths")
-        if self.field_norms.shape[0] != n:
-            raise ValueError("record columns have unequal lengths")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("record times must be strictly increasing")
 
@@ -180,9 +179,6 @@ def displacement_identity_gap(record: TrajectoryRecord) -> float:
     return float(np.abs(gap).max())
 
 
-CSV_FLOAT = repr
-
-
 def csv_columns(d: int) -> list[str]:
     cols = ["run_id", "t"]
     cols += [f"x{i}" for i in range(1, d + 1)]
@@ -194,8 +190,8 @@ def csv_columns(d: int) -> list[str]:
 
 def trajectory_csv_rows(run_id: int, record: TrajectoryRecord):
     for i in range(record.times.size):
-        vals = [str(run_id), CSV_FLOAT(float(record.times[i]))]
+        vals = [str(run_id), repr(float(record.times[i]))]
         for arr in (record.positions, record.displacements, record.velocities):
-            vals += [CSV_FLOAT(float(v)) for v in arr[i]]
-        vals.append(CSV_FLOAT(float(record.field_norms[i])))
+            vals += [repr(float(v)) for v in arr[i]]
+        vals.append(repr(float(record.field_norms[i])))
         yield ",".join(vals)

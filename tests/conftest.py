@@ -57,7 +57,8 @@ def zero_energy_model(gammas=None, d=2, K=1):
 def pair_row(model, k) -> int:
     """Row of the representative slice that holds the pair {k, -k}."""
     i = model._lookup(k)
-    return int(np.flatnonzero((model.pair_pos == i) | (model.pair_neg == i))[0])
+    rep = max(i, model.size - 1 - i)   # of a site and its mirror, the upper-half one
+    return int(np.flatnonzero(model.pair_pos == rep)[0])
 
 
 def pair_field(model, k, coeff):

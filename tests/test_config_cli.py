@@ -73,6 +73,36 @@ def test_duplicate_shorthand_rejected():
         parse_config('{"seed": 1, "simulation": {"seed": 2}}')
 
 
+@pytest.mark.parametrize("doc", [
+    {"seed": 1, "K": 4},
+    {"K": 4, "simulation": {"seed": 1, "dt": 0.01}},
+    {"seed": 1, "simulation": {"seed": 2, "dt": 0.01}},
+    {"K": 4, "simulation": {"dt": 0.01}},
+], ids=["top_level", "simulation", "both", "none"])
+def test_seed_override_replaces_or_supplies_the_seed(doc):
+    plain = {k: v for k, v in doc.items() if k != "seed"}
+    plain["simulation"] = dict(plain.get("simulation", {}), seed=999)
+    want = parse_config(json.dumps(plain))
+    assert parse_config(json.dumps(doc), seed=999) == want
+    assert want.simulation.seed == 999
+
+
+def test_schema_is_read_off_the_dataclasses():
+    # every field of every section is a config key, typed by its annotation;
+    # only "X | None" annotations accept null
+    for section, values in asdict(parse_config('{"seed": 1}')).items():
+        for key, value in values.items():
+            doc = {"seed": 1, section: {key: value}} if key != "seed" else \
+                {section: {key: value}}
+            assert getattr(getattr(parse_config(json.dumps(doc)), section), key) == value
+            doc[section][key] = None
+            if key in ("delta", "eps"):
+                assert getattr(parse_config(json.dumps(doc)).probe, key) is None
+            else:
+                with pytest.raises(ConfigError, match=f"{section}.{key}: expected"):
+                    parse_config(json.dumps(doc))
+
+
 def test_horizons_must_increase():
     with pytest.raises(ConfigError, match="probe.horizons"):
         parse_config('{"seed": 1, "probe": {"horizons": [5.0, 1.0]}}')
@@ -243,6 +273,78 @@ def test_non_object_simulation_is_one_line_exit_1(tmp_path, simulation, override
     res = run_cli("tracer", "--config", str(path), "--out",
                   str(tmp_path / "t.csv"), *override)
     assert_one_line_exit_1(res, "simulation: expected an object")
+
+
+@pytest.mark.parametrize("text, override, needle", [
+    ('{"seed": 1,', "3", "config is not valid JSON"),
+    ('{"seed": 1}', "-1", "simulation.seed: must be >= 0"),
+], ids=["invalid_json", "negative_override"])
+def test_seed_override_errors_are_one_line_exit_1(tmp_path, text, override, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    res = run_cli("validate", "--config", str(path), "--out",
+                  str(tmp_path / "v.jsonl"), "--seed-override", override)
+    assert_one_line_exit_1(res, needle)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the process pool by an in-process map; returns the max_workers
+    of every pool opened."""
+    import concurrent.futures
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return opened
+
+
+@pytest.mark.parametrize("threads, n_runs, workers", [(8, 3, 3), (2, 5, 2), (64, 2, 2)])
+def test_pool_never_has_more_workers_than_runs(small_model, serial_pool, threads,
+                                               n_runs, workers):
+    from tracerflow import run_trajectory_ensemble
+    args = (small_model, 0.05, 0.01, 1, 7, n_runs)
+    got = run_trajectory_ensemble(*args, threads=threads)
+    assert serial_pool == [workers]
+    want = run_trajectory_ensemble(*args, threads=1)
+    assert [r.positions.tobytes() + r.field_norms.tobytes() for r in got] == \
+        [r.positions.tobytes() + r.field_norms.tobytes() for r in want]
+
+
+@pytest.mark.parametrize("subcommand", ["tracer", "ergodic"])
+def test_threads_above_the_ceiling_is_one_line_exit_1(small_cfg, tmp_path, monkeypatch,
+                                                      capsys, serial_pool, subcommand):
+    from tracerflow import _ensemble
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args[6] if len(args) > 6 else kwargs["threads"])
+        return []
+
+    monkeypatch.setattr(_ensemble, "run_trajectory_ensemble", spy)
+    monkeypatch.setattr(cli, "run_trajectory_ensemble", spy)
+    out = tmp_path / "o.out"
+    code = cli.main([subcommand, "--config", str(small_cfg), "--out", str(out),
+                     "--threads", str(cli.MAX_THREADS + 1)])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) == 1 and "--threads" in err, err
+    assert seen == [] and serial_pool == [] and not out.exists()
+    if subcommand == "tracer":   # the ceiling itself is accepted
+        assert cli.main([subcommand, "--config", str(small_cfg), "--out", str(out),
+                         "--threads", str(cli.MAX_THREADS)]) == 0
+        assert seen == [cli.MAX_THREADS]
 
 
 def test_chain_subcommand_table(small_cfg, tmp_path):

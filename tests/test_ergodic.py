@@ -6,12 +6,12 @@ import pytest
 from tracerflow import (FourierField, ObservableSpec, TrajectoryRecord,
                         build_power_law_spectrum, e_property_probe, lln_test,
                         moment_scan, occupation_fraction, run_lagrangian,
-                        run_trajectory_ensemble, sobolev_norm, stability_probe,
+                        run_trajectory_ensemble, stability_probe,
                         stationary_norm_moment, time_average, zero_field)
 from tracerflow._util import derive_seed
 from tracerflow.ergodic import _unit_direction, time_average_with_stderr
 from tracerflow.field import _phase_factor, ens_norm_m, ens_pair_noise, ens_tile
-from conftest import zero_energy_model, single_pair_model
+from conftest import zero_energy_model
 
 TANH_NORM = ObservableSpec("bounded_lipschitz_of_norm")
 
@@ -262,7 +262,7 @@ def test_run_summary_bundles_diagnostics(small_model):
     assert rep.window_min <= rep.occupation_fraction + 1e-12
     assert rep.delta == pytest.approx(2.0 * float(np.median(rec.field_norms)))
     with pytest.raises(ValueError):
-        ErgodicReport(1.0, 0.0, 0.0, 1.5, 0.0, 1.0, 0)
+        ErgodicReport(1.0, 0.0, 0.0, 1.5, 0.0, 1.0)
 
 
 def test_coupling_offsets_must_decrease(small_model):

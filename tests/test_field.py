@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp
 from tracerflow import (FourierField, NumericalFailure, OUState,
                         SpectrumError, apply_semigroup,
                         build_power_law_spectrum, covariance_oracle, evaluate,
-                        noiseless_flow_step, observation_step, origin_value,
+                        noiseless_flow_step, origin_value,
                         ou_exact_step, sample_stationary, sobolev_norm,
                         zero_field)
 from tracerflow.field import (_phase_factor, ens_norm_m, ens_observation_step,
@@ -76,16 +76,6 @@ def test_evaluate_cosine_pair(small_model):
     np.testing.assert_allclose(evaluate(f, [0.0, 0.0]), [2 * c, 0.0], atol=1e-15)
     np.testing.assert_allclose(evaluate(f, [math.pi, 0.0]), [-2 * c, 0.0],
                                atol=1e-12)
-
-
-def test_evaluate_jacobian_closed_form(small_model):
-    c = 0.7
-    f = pair_field(small_model, (1, 0), [c, 0.0])
-    xi = np.array([0.5, 0.0])
-    _, jac = evaluate(f, xi, jacobian=True)
-    # V1 = 2c cos(xi1): dV1/dxi1 = -2c sin(xi1)
-    assert jac[0, 0] == pytest.approx(-2 * c * math.sin(0.5), rel=1e-12)
-    assert abs(jac[0, 1]) < 1e-14 and abs(jac[1, 0]) < 1e-14
 
 
 # ---------------------------------------------------------------- sampling
@@ -328,17 +318,23 @@ def test_noiseless_flow_fourth_order(default_model):
     assert 8.0 < e1 / e2 < 32.0
 
 
+def observation_noise(m, rng, dt, lead_shape=()):
+    """The exact OU increment over dt that drives one observation step."""
+    return pair_noise(m, rng, m.noise_scale(dt), lead_shape)
+
+
 def test_observation_step_noiseless_limit():
     m = zero_energy_model(gammas={(1, 0): 1.0, (1, 1): 2.0})
     f = FourierField(m, np.array([[0.3 + 0.1j, 0.2 - 0.2j], [0.1, 0.4j]]))
-    out = observation_step(f, 0.1, np.random.default_rng(0))
+    out = ens_observation_step(m, f.coeffs, 0.1,
+                               observation_noise(m, np.random.default_rng(0), 0.1))
     u = origin_value(f)
     gamma = m.gamma[m.pair_pos]
     phase = (u @ m.k_float[m.pair_pos].T) * 0.1
     expect = f.coeffs * (np.exp(-gamma * 0.1) * (np.cos(phase) + 1j * np.sin(phase)))[:, None]
-    np.testing.assert_array_equal(out.coeffs, expect)
+    np.testing.assert_array_equal(out, expect)
     decay = np.abs(f.coeffs) * np.exp(-gamma * 0.1)[:, None]
-    assert np.abs(np.abs(out.coeffs) - decay).max() < 1e-15
+    assert np.abs(np.abs(out) - decay).max() < 1e-15
 
 
 def test_observation_step_linear_case_matches_exact_ou():
@@ -350,10 +346,10 @@ def test_observation_step_linear_case_matches_exact_ou():
     rngz = np.random.default_rng(50)
     zn = np.empty(n)
     for i in range(n):
-        z = zero_field(m)
+        z = zero_field(m).coeffs
         for _ in range(10):
-            z = observation_step(z, 0.1, rngz)
-        zn[i] = abs(z.coeffs[idx, 1])
+            z = ens_observation_step(m, z, 0.1, observation_noise(m, rngz, 0.1))
+        zn[i] = abs(z[idx, 1])
     rngv = np.random.default_rng(51)
     vn = np.empty(n)
     for i in range(n):
@@ -365,9 +361,37 @@ def test_observation_step_linear_case_matches_exact_ou():
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_observation_step_detects_nonfinite(small_model):
     c = np.full((small_model.n_pairs, 2), np.inf + 0j)
-    f = FourierField(small_model, c)
+    noise = observation_noise(small_model, np.random.default_rng(0), 1e-3)
     with pytest.raises(NumericalFailure):
-        observation_step(f, 1e-3, np.random.default_rng(0))
+        ens_observation_step(small_model, c, 1e-3, noise)
+
+
+@pytest.mark.parametrize("d, projection", [(1, "full"), (2, "incompressible"),
+                                           (2, "full"), (3, "potential")])
+def test_observation_step_is_the_field_seen_from_an_euler_tracer(d, projection):
+    # Independent construction of the splitting step: advance the Eulerian
+    # field V by exact OU steps, V' = V decay(dt) + eta, and a tracer by one
+    # Euler step, x' = x + V(x) dt.  Fed the rotated noise eta e^{ik.x'}, the
+    # splitting step must return the field recentred at the tracer,
+    # Z' = V' e^{ik.x'}: the advective phase u.k dt with u = Z(0) = V(x) is
+    # exactly the recentring from x to x'.
+    m = build_power_law_spectrum(d, 3, 1.0, 4.0, projection, 1.0, 2.0)
+    n, dt = 5, 1e-3
+    rng = np.random.default_rng(20 + d)
+    v = ens_pair_noise(m, rng, None, n)
+    x = np.zeros((n, d))
+    z = v.copy()
+    scale = m.noise_scale(dt)
+    worst = 0.0
+    for _ in range(400):
+        x = x + origin_value(FourierField(m, z)) * dt
+        shift = np.exp(1j * (x @ m.k_pos.T))[..., None]
+        eta = ens_pair_noise(m, rng, scale, n)
+        v = v * m.decay(dt)[:, None] + eta
+        z = ens_observation_step(m, z, dt, eta * shift)
+        want = v * shift
+        worst = max(worst, float(np.abs(z - want).max() / np.abs(want).max()))
+    assert worst <= 1e-12, worst
 
 
 # ---------------------------------------------------------------- invariants

@@ -24,7 +24,7 @@ def full_table(model, coeffs):
     """The per-site table (..., size, d) of a representative slice."""
     out = np.zeros(coeffs.shape[:-2] + (model.size, model.dimension), dtype=complex)
     out[..., model.pair_pos, :] = coeffs
-    out[..., model.pair_neg, :] = coeffs.conj()
+    out[..., model.size - 1 - model.pair_pos, :] = coeffs.conj()
     return out
 
 
@@ -34,12 +34,8 @@ def site_decay(model, t):
 
 # ------------------------------------------------ full-table formulas
 
-def oracle_value_and_jacobian(model, full, xi):
-    k = model.k_float
-    phases = np.exp(1j * (model.wavevectors @ xi))
-    raw = phases @ full
-    jac = np.real(1j * ((full * phases[:, None]).mT @ k))
-    return raw.real, jac
+def oracle_value(model, full, xi):
+    return (np.exp(1j * (model.wavevectors @ xi)) @ full).real
 
 
 def oracle_norm_sq(model, full, r):
@@ -103,12 +99,10 @@ def test_measures_agree_with_the_full_table_sums(d, lead, seed):
     f = FourierField(m, c)
 
     xi = rng.uniform(0.0, 2.0 * math.pi, d)
-    value, jac = evaluate(f, xi, jacobian=True)
-    want_value, want_jac = oracle_value_and_jacobian(m, full, xi)
-    assert value.shape == want_value.shape and jac.shape == want_jac.shape
+    value = evaluate(f, xi)
+    want_value = oracle_value(m, full, xi)
+    assert value.shape == want_value.shape
     assert_close(value, want_value, np.abs(full).sum(axis=-2))
-    assert_close(jac, want_jac, np.abs(full).mT @ np.abs(m.k_float))
-    assert_close(evaluate(f, xi), want_value, np.abs(full).sum(axis=-2))
 
     for r in (0.0, 1.0, float(m.m)):
         want = oracle_norm_sq(m, full, r)
