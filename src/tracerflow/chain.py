@@ -17,6 +17,7 @@ hiding them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -126,31 +127,58 @@ class ChainDistribution:
 def _sweep(x: float, n: int, f):
     """Yield (probabilities, f at the atoms) of the law after 0..n steps from x.
 
-    f, climb probability and successors are computed once per distinct state.
+    States are numbered as a dict's setdefault numbers them: each step, the
+    up-successors of the states first reached, then their down-successors, a
+    repeat keeping its first place.  Arrays indexed by id hold f and the climb
+    probability (rows of fq) and the successor id pairs (-1: none); keys and
+    ids hold the values sorted, with their ids, and == on them is dict key
+    equality here, as the contraction yields only +0.0 and -v is never zero.
+    Successors come from one vectorised pass of contraction_map, v + 1.0 and -v.
+    f and the climb probability are called once per state in Python, so their
+    bits are the scalar code's (np.exp need not round as math.exp does).
     Atoms keep first-reached order and merged masses are summed in that order:
     the float contraction is not injective and the sum order shows in the bits."""
-    index = {float(x): 0}
-    table = np.empty((4, 0))   # per state: f, climb probability, successors (-1: none)
+    keys, ids = np.array([float(x)]), np.zeros(1, dtype=np.intp)
+    new = keys   # values of the states first reached last step, in id order
+    fq, succ = np.empty((2, 0)), np.empty((0, 2), dtype=np.intp)
     atoms, probs = np.zeros(1, dtype=np.intp), np.ones(1)
     for step in range(n + 1):
-        new = list(index)[table.shape[1]:]   # the states first reached last step
-        up = [index.setdefault(v + 1.0 if v >= 1.0 else contraction_map(v), len(index))
-              for v in new]
-        down = [index.setdefault(-v, len(index)) if v >= 1.0 else -1 for v in new]
-        q = [climb_probability(v) if v >= 1.0 else 1.0 for v in new]
-        table = np.concatenate([table, [list(map(f, new)), q, up, down]], axis=1)
-        fv, q, up, down = table[:, atoms]
-        yield probs, fv
+        vs = new.tolist()
+        q = [climb_probability(v) if v >= 1.0 else 1.0 for v in vs]
+        fq = np.concatenate([fq, [list(map(f, vs)), q]], axis=1)
+        if step < n:
+            ladder = new >= 1.0
+            s = np.concatenate([np.where(ladder, new + 1.0, contraction_map(new)), -new[ladder]])
+            at = np.minimum(np.searchsorted(keys, s), keys.size - 1)
+            known = keys[at] == s
+            fresh, first, inv = np.unique(s[~known], return_index=True, return_inverse=True)
+            order = np.argsort(first)   # fresh values in first-occurrence order
+            rank = keys.size + np.argsort(order)   # and their ids
+            sid = ids[at]
+            sid[~known] = rank[inv]
+            down = np.full(new.size, -1)
+            down[ladder] = sid[new.size:]
+            succ = np.concatenate([succ, np.column_stack([sid[:new.size], down])])
+            at = np.searchsorted(keys, fresh)
+            keys, ids, new = np.insert(keys, at, fresh), np.insert(ids, at, rank), fresh[order]
+        yield probs, fq[0, atoms]
         if step == n:
             return
-        dest = np.column_stack([up, down]).ravel().astype(np.intp)
-        w = np.column_stack([probs * q, probs * (1.0 - q)]).ravel()
-        dest, w = dest[dest >= 0], w[dest >= 0]
-        order = np.arange(dest.size)
-        first = np.full(len(index), dest.size)
-        np.minimum.at(first, dest, order)
-        atoms = dest[first[dest] == order]
-        probs = np.bincount(dest, weights=w)[atoms]
+        atoms, probs = _merge(succ[atoms].ravel(), fq[1, atoms], probs, keys.size)
+
+
+def _merge(dest, q, probs, n_states):
+    """Atoms and masses one step on from masses probs at states with successor
+    id pairs dest (flattened) and climb probabilities q.  Its temporaries are
+    freed on return, before the sweep's next yield."""
+    keep = dest >= 0
+    dest = dest[keep]
+    mass = np.bincount(dest, weights=np.column_stack([probs * q, probs * (1.0 - q)])
+                       .ravel()[keep])
+    first = np.full(n_states, dest.size)
+    np.minimum.at(first, dest, np.arange(dest.size))
+    atoms = dest[first[dest] == np.arange(dest.size)]
+    return atoms, mass[atoms]
 
 
 def exact_distribution(x: float, n: int) -> ChainDistribution:
@@ -175,7 +203,10 @@ def kernel_power_profile(x: float, n_max: int, f) -> np.ndarray:
     state, is evaluated once per distinct state reached."""
     if not 0 <= n_max <= MAX_EXACT_DEPTH:
         raise ValueError(f"depth {n_max} outside the exact-tree range [0, {MAX_EXACT_DEPTH}]")
-    return np.array([math.fsum((p * fv).tolist()) for p, fv in _sweep(x, n_max, f)])
+    # math.fsum takes the terms as Python floats, one block of atoms at a time
+    return np.array([math.fsum(itertools.chain.from_iterable(
+        (p[i:i + 4096] * fv[i:i + 4096]).tolist() for i in range(0, p.size, 4096)))
+        for p, fv in _sweep(x, n_max, f)])
 
 
 def kernel_power_closed_form(x: float, n: int, f) -> float:
@@ -193,12 +224,15 @@ def kernel_power_closed_form(x: float, n: int, f) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     stay, exit_ = ladder_weights(x, n)
+    v = -x - np.arange(n, dtype=float)   # v[k]: the fall at step k+1, contracted
+    for m in range(n - 1, 0, -1):        # v[k] is contracted n-1-k times, in place
+        head = v[:m]
+        head += 1.0
+        head /= -2.0                     # -(v + 1.0) / 2.0 bit for bit
+        head -= 1.0
     total = 0.0
-    for k in range(n):
-        v = -x - float(k)
-        for _ in range(n - 1 - k):
-            v = contraction_map(v)
-        total += f(v) * exit_[k]
+    for vk, ek in zip(v.tolist(), exit_.tolist()):
+        total += f(vk) * ek
     return math.fsum([total, stay[n] * f(x + float(n))])
 
 

@@ -220,15 +220,18 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
                            ensemble=max(sim.ensemble, 2),
                            seed=derive_seed(seed, 103), dt=sim.dt)
     lines.append(_probe_record(cfg, "stability_probe",
-                               {"eps": eps, "T": stab.horizon},
+                               {"eps": eps, "T": stab.horizon,
+                                "norm_sq_mean": stab.norm_sq_mean,
+                                "norm_sq_closed": stab.norm_sq_closed, "z": stab.z},
                                stab.probability, stab.stderr))
 
     coup = e_property_probe(model, pr.offsets, psi, T=min(sim.T, 2.0),
                             ensemble=max(sim.ensemble, 2),
                             seed=derive_seed(seed, 104), dt=sim.dt)
-    for h, dval, se in zip(coup.offsets, coup.profile, coup.stderr):
+    for h, dval, se, t in zip(coup.offsets, coup.profile, coup.stderr, coup.t_argmax):
         lines.append(_probe_record(cfg, "e_property",
-                                   {"offset": float(h), "T": coup.horizon},
+                                   {"offset": float(h), "T": coup.horizon,
+                                    "t_argmax": float(t)},
                                    float(dval), float(se)))
 
     if len(horizons) >= 2:

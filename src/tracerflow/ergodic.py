@@ -233,12 +233,18 @@ class StabilityReport:
     stderr: float
     eps: float
     horizon: float
+    norm_sq_mean: float     # ensemble mean of ||Z_T||^2_{X^m}
+    norm_sq_closed: float   # its closed form
+    z: float                # (norm_sq_mean - norm_sq_closed) / standard error
 
 
 def stability_probe(model: SpectrumModel, eps: float, T: float, ensemble: int,
                     seed: int, dt: float = 1e-3) -> StabilityReport:
     """Fraction of noisy runs from the zero field staying eps-close in X^m to
-    the noiseless flow from the zero field at T."""
+    the noiseless flow from the zero field at T.  That flow stays zero, so the
+    distance is ||Z_T||; its mean square is compared with the closed form
+    E||Z_T||^2 = sum_k |k|^{2m} Tr E(k) (1 - e^{-2 gamma(k) T}) of the
+    splitting step (the phase has modulus e^{-gamma dt}, the noise is circular)."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
@@ -255,9 +261,17 @@ def stability_probe(model: SpectrumModel, eps: float, T: float, ensemble: int,
     dist = ens_norm_m(model, cpos - y.coeffs)
     hits = (dist < eps).astype(float)
     p = float(hits.mean())
+    horizon, sq = n_steps * dt, dist ** 2
+    trace = np.real(np.trace(model.energy, axis1=1, axis2=2))
+    closed = float((model.sobolev_weight(model.m) * trace
+                    * -np.expm1(-2.0 * model.gamma * horizon)).sum())
+    mean, se = float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(ensemble))
+    # no spread means no noise, and then Z_T = 0 = the closed form
+    z = (mean - closed) / se if se > 0.0 else 0.0
     return StabilityReport(probability=p,
                            stderr=float(hits.std(ddof=1) / math.sqrt(ensemble)),
-                           eps=float(eps), horizon=n_steps * dt)
+                           eps=float(eps), horizon=horizon,
+                           norm_sq_mean=mean, norm_sq_closed=closed, z=z)
 
 
 @dataclass
@@ -265,6 +279,7 @@ class CouplingReport:
     offsets: np.ndarray
     profile: np.ndarray       # D(h) per offset
     stderr: np.ndarray        # ensemble stderr at the maximizing time
+    t_argmax: np.ndarray      # the maximizing record time (0: the start)
     horizon: float
 
 
@@ -276,9 +291,10 @@ def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
     For each offset h the probe runs coupled members (identical noise within
     a pair, independent across pairs) from the zero field 0 and from h v
     along a fixed unit direction v, and reports D(h) = max over recorded
-    times of the absolute difference of the ensemble means.  h = 0 gives
-    exactly zero.  This is a diagnostic upper-bound estimator for the
-    equicontinuity modulus, not a proof reproduction.
+    times of the absolute difference of the ensemble means, and the first
+    record time t_argmax that reaches it.  h = 0 gives exactly zero.  This is
+    a diagnostic upper-bound estimator for the equicontinuity modulus, not a
+    proof reproduction.
     """
     rng = np.random.default_rng(seed)
     x = zero_field(model)
@@ -289,8 +305,7 @@ def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
     if np.any(offsets < 0.0) or np.any(np.diff(offsets) > 0.0):
         raise ValueError("offsets must be nonnegative and sorted decreasing")
 
-    profile = np.empty(offsets.size)
-    stderrs = np.empty(offsets.size)
+    profile, stderrs, t_argmax = np.empty((3, offsets.size))
     for oi, h in enumerate(offsets):
         pair_rng = np.random.default_rng(derive_seed(seed, oi + 1))
         a = ens_tile(x, ensemble)
@@ -298,6 +313,7 @@ def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
         diff0 = psi.on_stacked(model, b) - psi.on_stacked(model, a)
         best_gap = abs(float(diff0.mean()))
         best_se = float(diff0.std(ddof=1) / math.sqrt(ensemble))
+        best_t = 0.0
         for step in range(1, n_steps + 1):
             noise = ens_pair_noise(model, pair_rng, scale, ensemble)
             ens_observation_step(model, a, dt, noise, out=a)
@@ -309,10 +325,10 @@ def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
             if gap > best_gap:
                 best_gap = gap
                 best_se = float(diff.std(ddof=1) / math.sqrt(ensemble))
-        profile[oi] = best_gap
-        stderrs[oi] = best_se
+                best_t = step * dt
+        profile[oi], stderrs[oi], t_argmax[oi] = best_gap, best_se, best_t
     return CouplingReport(offsets=offsets, profile=profile, stderr=stderrs,
-                          horizon=n_steps * dt)
+                          t_argmax=t_argmax, horizon=n_steps * dt)
 
 
 @dataclass

@@ -70,12 +70,6 @@ class SpectrumModel:
     def n_pairs(self) -> int:
         return self.pair_pos.size
 
-    def gamma_of(self, k) -> float:
-        return float(self.gamma[self._lookup(k)])
-
-    def energy_of(self, k) -> np.ndarray:
-        return self.energy[self._lookup(k)]
-
     def _lookup(self, k) -> int:
         key = tuple(int(c) for c in np.atleast_1d(k))
         try:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,8 @@ def _where_paths(x, n_steps, n_paths, seed):
     return states, ever_fell, visited_gap, mean, se
 
 
+# 1.2345 and 7.0 each reach a step where two states first reached share a
+# successor not known before, which the sweep must number once
 @pytest.mark.parametrize("x", [1.0, 1.5, 2.0, 1.2345, -3.0, 0.5, 7.0])
 def test_sweep_is_the_dict_push_byte_for_byte(x):
     atoms = {x: 1.0}
@@ -218,6 +221,32 @@ def test_profile_calls_f_once_per_distinct_state():
         atoms = _dict_advance(atoms)
         reached |= set(atoms)
     assert sorted(calls) == sorted(reached)
+    # in the order a dict's setdefault numbers the states: step by step, the
+    # up-successors of the states first reached, then their down-successors
+    index, new = {1.5: None}, [1.5]
+    for _ in range(30):
+        size = len(index)
+        for v in new:
+            index.setdefault(v + 1.0 if v >= 1.0 else contraction_map(v))
+        for v in new:
+            if v >= 1.0:
+                index.setdefault(-v)
+        new = list(index)[size:]
+    assert calls == list(index)
+
+
+def test_profile_traced_peak_is_bounded():
+    # 34k states at x = 1.5: a dict of Python floats with one tolist() of all
+    # atoms per step peaked at 8.7 MB in this test, the flat state arrays at 4.3 MB
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kernel_power_profile(1.5, MAX_EXACT_DEPTH, F)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6, peak
 
 
 @pytest.mark.parametrize("x", [1.0, 1.5, 2.0, -3.0, 0.5, 1.2345])

@@ -454,6 +454,27 @@ def test_ergodic_probe_records_carry_the_simulated_horizon(small_cfg, tmp_path):
         assert got == {probe: ts for probe, ts in want.items() if ts}, simulation
 
 
+def test_ergodic_records_carry_the_norm_check_and_the_argmax_time(small_cfg, tmp_path):
+    cfg = json.loads(small_cfg.read_text())
+    cfg["simulation"].update(T=0.5, ensemble=100)
+    cfg["probe"].update(offsets=[1.0, 0.5, 0.0], horizons=[],
+                        observable="indicator_ball", delta=2.0)
+    small_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "e.jsonl"
+    res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    recs = [json.loads(ln) for ln in body_of(out)]
+    [stab] = [r["params"] for r in recs if r["probe"] == "stability_probe"]
+    # the mean of ||Z_T||^2 over the probe's ensemble against its closed form
+    assert stab["norm_sq_closed"] > 0.0 and abs(stab["z"]) <= 4.0, stab
+    # the sup is taken at t = 0 or on the grid of every 10th step and the last
+    dt, n_steps = 0.01, 50
+    grid = {0.0, n_steps * dt} | {s * dt for s in range(10, n_steps, 10)}
+    times = [r["params"]["t_argmax"] for r in recs if r["probe"] == "e_property"]
+    assert len(times) == 3 and set(times) <= grid, times
+    assert times[-1] == 0.0 < max(times)   # zero offset: the start; others reach later
+
+
 def test_tracer_and_decay_records_carry_the_simulated_horizon(small_cfg, tmp_path):
     cfg = json.loads(small_cfg.read_text())
     cfg["simulation"].update(T=0.7, dt=0.01)

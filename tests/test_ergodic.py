@@ -130,6 +130,8 @@ def test_stability_certain_without_noise():
     rep = stability_probe(m, eps=1e-9, T=0.5, ensemble=16, seed=14,
                           dt=1e-2)
     assert rep.probability == 1.0
+    # no spread: the z-score is 0, not the NaN of 0/0
+    assert (rep.norm_sq_mean, rep.norm_sq_closed, rep.z) == (0.0, 0.0, 0.0)
 
 
 def test_stability_certain_for_huge_tolerance(small_model):
@@ -151,6 +153,7 @@ def test_coupling_gap_vanishes_at_zero_offset(small_model):
     rep = e_property_probe(small_model, [0.5, 0.0], TANH_NORM, T=0.3,
                            ensemble=40, seed=17, dt=1e-2, record_stride=5)
     assert rep.profile[-1] == 0.0
+    assert rep.t_argmax[-1] == 0.0   # the sup is the start offset
 
 
 def test_coupling_gap_bounded_by_lipschitz_offset():

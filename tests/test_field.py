@@ -275,9 +275,9 @@ def test_ou_rejects_nonpositive_dt(small_model):
 def test_covariance_oracle_values(small_model):
     m = single_pair_model(gamma=2.0, energy=np.diag([0.5, 1.5]))
     np.testing.assert_array_equal(covariance_oracle(m, 0.0, (1, 0)),
-                                  m.energy_of((1, 0)))
+                                  m.energy[m._lookup((1, 0))])
     np.testing.assert_allclose(covariance_oracle(m, 0.5, (1, 0)),
-                               math.exp(-1.0) * m.energy_of((1, 0)), rtol=1e-15)
+                               math.exp(-1.0) * m.energy[m._lookup((1, 0))], rtol=1e-15)
     norms = [np.linalg.norm(covariance_oracle(m, h, (1, 0)))
              for h in (0.0, 0.3, 0.9, 2.4)]
     assert all(b <= a for a, b in zip(norms, norms[1:]))

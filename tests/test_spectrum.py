@@ -17,10 +17,10 @@ def test_lattice_count_k1():
 
 def test_incompressible_projector_orthogonal_to_k():
     m = build_power_law_spectrum(2, 1, 1.0, 0.0, "incompressible", 1.0, 2.0)
-    np.testing.assert_allclose(m.energy_of((1, 0)).real, [[0, 0], [0, 1]],
+    np.testing.assert_allclose(m.energy[m._lookup((1, 0))].real, [[0, 0], [0, 1]],
                                atol=1e-15)
     # projector annihilates k itself
-    e = m.energy_of((1, 1))
+    e = m.energy[m._lookup((1, 1))]
     assert np.abs(e @ np.array([1.0, 1.0])).max() < 1e-14
 
 
@@ -33,7 +33,7 @@ def test_potential_plus_incompressible_is_full():
 
 def test_gamma_power_law_value():
     m = build_power_law_spectrum(2, 2, 1.0, 14.0, "full", 1.0, 2.0)
-    assert m.gamma_of((2, 1)) == pytest.approx(5.0, abs=1e-14)
+    assert m.gamma[m._lookup((2, 1))] == pytest.approx(5.0, abs=1e-14)
 
 
 def test_gamma_star_quadratic_lattice(default_model):
