@@ -180,6 +180,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("simulation.seed: required (wall-clock seeding is not allowed)")
     if sim.seed < 0:
         raise ConfigError("simulation.seed: must be >= 0")
+    if pr.R < 0:
+        raise ConfigError("probe.R: must be >= 0")
     if pr.n < 1:
         raise ConfigError("probe.n: must be >= 1")
     if pr.delta is not None and pr.delta <= 0:

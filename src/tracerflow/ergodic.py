@@ -87,11 +87,6 @@ def _trapezoid_mean(series: np.ndarray, times: np.ndarray):
     return np.trapezoid(series, times, axis=0) / (times[-1] - times[0])
 
 
-def time_average(record: TrajectoryRecord, psi: ObservableSpec):
-    """Trapezoid time average of the observable along the record."""
-    return _trapezoid_mean(psi.series(record), record.times)
-
-
 def time_average_with_stderr(record: TrajectoryRecord,
                              psi: ObservableSpec) -> tuple[float, float]:
     """Time average plus a batch-means standard error (scalar observables)."""
@@ -159,16 +154,17 @@ def stationary_norm_moment(model: SpectrumModel, n: int) -> float:
     n=1: S2 = sum_k |k|^{2m} Tr energy(k) over all sites.
     n=2: S2^2 + 2 sum_k |k|^{4m} Tr(energy(k)^2), from the chi-square
     structure of independent circular Gaussian conjugate pairs.
+    Each site sum is twice the sum over the pair rows.
     """
     w = model.sobolev_weight(model.m)
     tr = np.real(np.trace(model.energy, axis1=1, axis2=2))
-    s2 = float((w * tr).sum())
+    s2 = 2.0 * float((w * tr).sum())
     if n == 1:
         return s2
     if n == 2:
         tr_sq = np.real(np.trace(np.einsum("kij,kjl->kil", model.energy,
                                            model.energy), axis1=1, axis2=2))
-        return s2 ** 2 + 2.0 * float((w ** 2 * tr_sq).sum())
+        return s2 ** 2 + 4.0 * float((w ** 2 * tr_sq).sum())
     raise ValueError("closed form implemented for n in {1, 2} only")
 
 
@@ -263,8 +259,9 @@ def stability_probe(model: SpectrumModel, eps: float, T: float, ensemble: int,
     p = float(hits.mean())
     horizon, sq = n_steps * dt, dist ** 2
     trace = np.real(np.trace(model.energy, axis1=1, axis2=2))
-    closed = float((model.sobolev_weight(model.m) * trace
-                    * -np.expm1(-2.0 * model.gamma * horizon)).sum())
+    # the sum over all sites is twice the sum over the pair rows
+    closed = 2.0 * float((model.sobolev_weight(model.m) * trace
+                          * -np.expm1(-2.0 * model.gamma * horizon)).sum())
     mean, se = float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(ensemble))
     # no spread means no noise, and then Z_T = 0 = the closed form
     z = (mean - closed) / se if se > 0.0 else 0.0

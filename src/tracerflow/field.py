@@ -44,14 +44,6 @@ class FourierField:
     coeffs: np.ndarray  # (..., n_pairs, d) complex
 
 
-@dataclass
-class OUState:
-    """Ornstein-Uhlenbeck field state with its clock (seconds)."""
-
-    field: FourierField
-    time: float = 0.0
-
-
 def zero_field(model: SpectrumModel) -> FourierField:
     return FourierField(model, np.zeros((model.n_pairs, model.dimension), dtype=complex))
 
@@ -63,7 +55,7 @@ def _check_finite(coeffs: np.ndarray, what: str) -> None:
 
 def _norm(model: SpectrumModel, coeffs: np.ndarray, r: float) -> np.ndarray:
     """X^r norm over the leading axes; each representative stands for two sites."""
-    w = model.sobolev_weight(r)[model.pair_pos]
+    w = model.sobolev_weight(r)
     return np.sqrt(2.0 * ((np.abs(coeffs) ** 2).sum(axis=-1) * w).sum(axis=-1))
 
 
@@ -142,7 +134,7 @@ def _ou(model: SpectrumModel, coeffs: np.ndarray, dt: float,
     return new
 
 
-def ou_exact_step(state: OUState, dt: float, rng: np.random.Generator) -> OUState:
+def ou_exact_step(f: FourierField, dt: float, rng: np.random.Generator) -> FourierField:
     """Advance the Ornstein-Uhlenbeck field by dt, exactly in law.
 
     c(k) <- exp(-gamma dt) c(k) + eta(k), with eta circular complex Gaussian
@@ -151,18 +143,19 @@ def ou_exact_step(state: OUState, dt: float, rng: np.random.Generator) -> OUStat
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    f = state.field
     m = f.model
     noise = pair_noise(m, rng, m.noise_scale(dt), f.coeffs.shape[:-2])
-    return OUState(FourierField(m, _ou(m, f.coeffs, dt, noise)), state.time + dt)
+    return FourierField(m, _ou(m, f.coeffs, dt, noise))
 
 
 def covariance_oracle(model: SpectrumModel, h: float, k) -> np.ndarray:
-    """Closed-form lag-h mode covariance exp(-gamma(k) h) energy(k)."""
+    """Closed-form lag-h mode covariance exp(-gamma(k) h) energy(k); a mirror
+    site carries the conjugate of its representative's."""
     if h < 0.0:
         raise ValueError("lag must be nonnegative")
-    i = model._lookup(k)
-    return np.exp(-model.gamma[i] * h) * model.energy[i]
+    i, mirrored = model._lookup(k)
+    cov = np.exp(-model.gamma[i] * h) * model.energy[i]
+    return cov.conj() if mirrored else cov
 
 
 def noiseless_flow_step(f: FourierField, dt: float) -> FourierField:
@@ -266,7 +259,6 @@ def modulus_decay_report(model: SpectrumModel, n_starts: int, horizon: float,
     n_steps = int(round(horizon / dt))
     stride = max(1, n_steps // _DECAY_CHECKPOINTS)
     gstar = float(model.gamma.min())
-    g = model.gamma[model.pair_pos]
     w = ens_pair_noise(model, rng, None, n_starts)
     f = FourierField(model, w / ens_norm_m(model, w)[:, None, None])   # unit X^m norm starts
     mod0 = np.abs(f.coeffs)
@@ -279,7 +271,7 @@ def modulus_decay_report(model: SpectrumModel, n_starts: int, horizon: float,
             continue
         t = step * dt
         w = f.coeffs
-        oracle = mod0 * np.exp(-g * t)[None, :, None]
+        oracle = mod0 * np.exp(-model.gamma * t)[None, :, None]
         mask = oracle > 1e-290
         if mask.any():
             rel = np.abs(np.abs(w[mask]) - oracle[mask]) / oracle[mask]
@@ -302,12 +294,10 @@ def ou_covariance_report(model: SpectrumModel, ensemble: int, lags: tuple,
     """
     rng = np.random.default_rng(seed)
     cpos0 = ens_pair_noise(model, rng, None, ensemble)
-    tr = np.real(np.trace(model.energy, axis1=1, axis2=2))[model.pair_pos]
+    tr = np.real(np.trace(model.energy, axis1=1, axis2=2))
     # mirror sites carry conjugate statistics, so checking the top
     # representative pairs covers at least the _TOP_MODES sites
     sel = np.lexsort((np.arange(tr.size), -tr))[:_TOP_MODES]
-    energy_pos = model.energy[model.pair_pos]
-    gamma_pos = model.gamma[model.pair_pos]
 
     def site_cov(a, b, i):
         return (a[:, i, :, None] * b[:, i, None, :].conj()).mean(axis=0)
@@ -315,8 +305,8 @@ def ou_covariance_report(model: SpectrumModel, ensemble: int, lags: tuple,
     eq_err, pseudo = [], []
     for i in sel:
         cov = site_cov(cpos0, cpos0, i)
-        eq_err.append(float(np.linalg.norm(cov - energy_pos[i]) /
-                            np.linalg.norm(energy_pos[i])))
+        eq_err.append(float(np.linalg.norm(cov - model.energy[i]) /
+                            np.linalg.norm(model.energy[i])))
         pc = (cpos0[:, i, :, None] * cpos0[:, i, None, :]).mean(axis=0)
         pseudo.append(float(np.linalg.norm(pc)))
     lag_err = {}
@@ -326,7 +316,7 @@ def ou_covariance_report(model: SpectrumModel, ensemble: int, lags: tuple,
         for i in sel:
             num = float(np.real(np.trace(site_cov(shifted, cpos0, i))))
             rho = num / tr[i]
-            errs.append(abs(rho - float(np.exp(-gamma_pos[i] * h))))
+            errs.append(abs(rho - float(np.exp(-model.gamma[i] * h))))
         lag_err[float(h)] = max(errs)
     return {"max_eqtime_frobenius_rel": max(eq_err),
             "max_lag_corr_abs_err": lag_err,

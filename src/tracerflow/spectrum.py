@@ -9,8 +9,10 @@ covariance of the field is pinned to
 
 which is what every sampler and diagnostic in this package is checked
 against.  The zero wavevector is excluded (mean-zero fields) and the site
-at ``-k`` always carries the conjugate energy so that sampled fields are
-real valued.
+at ``-k`` always carries the same rate and the conjugate energy so that
+sampled fields are real valued.  A model therefore keeps one row per
+conjugate pair, at its representative k (the lex-larger of k and -k); a
+sum over the full lattice is twice the sum over the rows.
 """
 
 from __future__ import annotations
@@ -33,28 +35,22 @@ class SpectrumError(ValueError):
 class SpectrumModel:
     """Immutable-by-convention container for the truncated field model.
 
-    ``wavevectors`` lists every lattice site (one row per site, lex order);
-    sums such as the regularity functional therefore count a real conjugate
-    pair twice, matching the full-lattice convention.  ``pair_pos`` holds
-    the site of one representative per conjugate pair and ``k_pos`` its
-    wavevector; fields store their coefficients at these representatives.
-
-    The sites are lex-sorted and closed under negation (k = 0 excluded), so
-    negation reverses their order: the mirror of site i is site size-1-i,
-    and the representatives ``pair_pos`` are the upper half of the sites.
+    Every table has one row per conjugate pair {k, -k}, at the representative
+    k, the upper half of the lex-sorted lattice sites.  The mirror -k carries
+    the same gamma and the conjugate energy, so a sum over every lattice site
+    (the regularity functional, the stationary moments) is twice the sum over
+    the rows; minima and maxima over the rows are those over the lattice.
     """
 
     dimension: int
     truncation: int
     m: int
     alpha: float
-    wavevectors: np.ndarray        # (size, d) int
-    gamma: np.ndarray              # (size,) float, all > 0
-    energy: np.ndarray             # (size, d, d) complex Hermitian PSD
-    # derived, filled by _finalize
-    k_float: np.ndarray = field(default=None, repr=False)
+    wavevectors: np.ndarray        # (n_pairs, d) int, representatives in lex order
+    gamma: np.ndarray              # (n_pairs,) float, all > 0
+    energy: np.ndarray             # (n_pairs, d, d) complex Hermitian PSD
+    # derived by _finalize
     k_norm: np.ndarray = field(default=None, repr=False)
-    pair_pos: np.ndarray = field(default=None, repr=False)
     k_pos: np.ndarray = field(default=None, repr=False)
     sqrt_energy_pos: np.ndarray = field(default=None, repr=False)
     _index: dict = field(default=None, repr=False)
@@ -63,25 +59,25 @@ class SpectrumModel:
     _noise_cache: dict = field(default_factory=dict, repr=False)
 
     @property
-    def size(self) -> int:
+    def n_pairs(self) -> int:
         return self.wavevectors.shape[0]
 
-    @property
-    def n_pairs(self) -> int:
-        return self.pair_pos.size
-
-    def _lookup(self, k) -> int:
+    def _lookup(self, k) -> tuple[int, bool]:
+        """Row of the pair holding site k, and whether k is the mirror -k of
+        the row's representative."""
         key = tuple(int(c) for c in np.atleast_1d(k))
-        try:
-            return self._index[key]
-        except KeyError:
-            raise SpectrumError(f"wavevector {key} not in model") from None
+        mirror = tuple(-c for c in key)
+        if key in self._index:
+            return self._index[key], False
+        if mirror in self._index:
+            return self._index[mirror], True
+        raise SpectrumError(f"wavevector {key} not in model")
 
     def decay(self, dt: float) -> np.ndarray:
         """exp(-gamma*dt) per conjugate-pair representative, memoized on dt (hot path)."""
         out = self._decay_cache.get(dt)
         if out is None:
-            out = np.exp(-self.gamma[self.pair_pos] * dt)
+            out = np.exp(-self.gamma * dt)
             self._decay_cache[dt] = out
         return out
 
@@ -89,13 +85,12 @@ class SpectrumModel:
         """sqrt(1 - exp(-2*gamma*dt)) per conjugate-pair representative."""
         out = self._noise_cache.get(dt)
         if out is None:
-            g = self.gamma[self.pair_pos]
-            out = np.sqrt(-np.expm1(-2.0 * g * dt))
+            out = np.sqrt(-np.expm1(-2.0 * self.gamma * dt))
             self._noise_cache[dt] = out
         return out
 
     def sobolev_weight(self, r: float) -> np.ndarray:
-        """|k|^{2r} per site; the X^m weight is cached."""
+        """|k|^{2r} per representative; the X^m weight is cached."""
         if r == self.m:
             return self._weight_m
         return self.k_norm ** (2.0 * r)
@@ -116,21 +111,19 @@ def _reject_first(bad: np.ndarray, message) -> None:
         raise SpectrumError(message(int(hits[0])))
 
 
-def _finalize(model: SpectrumModel) -> SpectrumModel:
-    kv, gamma, energy = model.wavevectors, model.gamma, model.energy
+def _finalize(d: int, K: int, m: int, alpha: float, kv: np.ndarray,
+              gamma: np.ndarray, energy: np.ndarray) -> SpectrumModel:
+    """Validate the per-site tables (every lattice site, lex-sorted) and keep
+    their upper half, the conjugate-pair representatives."""
     size = kv.shape[0]
     keys = [tuple(row) for row in kv.tolist()]
-    model._index = dict(zip(keys, range(size)))
-    model.k_float = kv.astype(float)
-    model.k_norm = np.sqrt((model.k_float ** 2).sum(axis=1))
-    model._weight_m = model.k_norm ** (2.0 * model.m)
-
     if np.any(gamma <= 0.0):
         raise SpectrumError("all mixing rates must be positive")
     if size % 2 or not np.array_equal(kv[::-1], -kv):
+        index = set(keys)
         for key in keys:
             mirror = tuple(-c for c in key)
-            if mirror not in model._index:
+            if mirror not in index:
                 raise SpectrumError(f"mirror site {mirror} of {key} is missing")
         raise SpectrumError("sites must be lex-sorted and closed under negation, without k = 0")
     # from here on the mirror of site i is site size-1-i
@@ -149,17 +142,19 @@ def _finalize(model: SpectrumModel) -> SpectrumModel:
     _reject_first(eig_min < -PSD_FLOOR_RTOL * np.maximum(trace, scale),
                   lambda i: f"energy at {keys[i]} not PSD (min eig {eig_min[i]:.3g})")
 
-    model.pair_pos = np.arange(size // 2, size)
-    model.k_pos = model.k_float[model.pair_pos]
-
-    # Hermitian square roots for the pair representatives; tiny negative
-    # eigenvalues from projector roundoff are clipped at the PSD floor.
-    e_pos = model.energy[model.pair_pos]
-    w, v = np.linalg.eigh(e_pos)
+    half = slice(size // 2, size)
+    k_pos = kv[half].astype(float)
+    k_norm = np.sqrt((k_pos ** 2).sum(axis=1))
+    # Hermitian square roots; tiny negative eigenvalues from projector
+    # roundoff are clipped at the PSD floor.
+    w, v = np.linalg.eigh(energy[half])
     w = np.where(w > 0.0, w, 0.0)
-    model.sqrt_energy_pos = np.einsum(
-        "pij,pj,pkj->pik", v, np.sqrt(w), v.conj())
-    return model
+    return SpectrumModel(dimension=d, truncation=K, m=int(m), alpha=float(alpha),
+                         wavevectors=kv[half], gamma=gamma[half], energy=energy[half],
+                         k_norm=k_norm, k_pos=k_pos,
+                         sqrt_energy_pos=np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj()),
+                         _index=dict(zip(keys[half], range(size // 2))),
+                         _weight_m=k_norm ** (2.0 * int(m)))
 
 
 def build_power_law_spectrum(d: int, K: int, sigma0: float, decay_p: float,
@@ -201,10 +196,7 @@ def build_power_law_spectrum(d: int, K: int, sigma0: float, decay_p: float,
 
     energy = (sigma0 * norm ** (-decay_p))[:, None, None] * proj
     gamma = gamma_coeff * norm ** gamma_power
-    model = SpectrumModel(dimension=d, truncation=K, m=int(m), alpha=float(alpha),
-                          wavevectors=kv, gamma=gamma,
-                          energy=energy.astype(complex))
-    return _finalize(model)
+    return _finalize(d, K, m, alpha, kv, gamma, energy.astype(complex))
 
 
 def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
@@ -234,9 +226,7 @@ def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
     kv = np.asarray(keys, dtype=int)
     gamma = np.asarray([table[k][0] for k in keys])
     energy = np.stack([table[k][1] for k in keys])
-    model = SpectrumModel(dimension=d, truncation=K, m=int(m), alpha=float(alpha),
-                          wavevectors=kv, gamma=gamma, energy=energy)
-    return _finalize(model)
+    return _finalize(d, K, m, alpha, kv, gamma, energy)
 
 
 def gamma_star(model: SpectrumModel) -> float:
@@ -247,14 +237,14 @@ def gamma_star(model: SpectrumModel) -> float:
 def check_h1(model: SpectrumModel) -> float:
     """Truncated regularity functional sum_k gamma(k)^alpha |k|^{2(m+1)} Tr energy(k).
 
-    The sum runs over every lattice site, so a real conjugate pair
-    contributes twice.  Finiteness on the infinite lattice cannot be decided
+    The sum runs over every lattice site, twice the sum over the conjugate-
+    pair rows (the mirror has the same rate and trace).  Finiteness on the infinite lattice cannot be decided
     at a truncation; callers compare values across truncations (a <10%
     change when K doubles is the convergence convention used by the CLI).
     """
     tr = np.real(np.trace(model.energy, axis1=1, axis2=2))
     terms = model.gamma ** model.alpha * model.k_norm ** (2.0 * (model.m + 1)) * tr
-    return float(terms.sum())
+    return 2.0 * float(terms.sum())
 
 
 def check_h2(model: SpectrumModel, t_max: float, quad_steps: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import SpectrumModel
-from .field import (FourierField, OUState, NumericalFailure, _eval, evaluate,
+from .field import (FourierField, NumericalFailure, _eval, evaluate,
                     ou_exact_step, sample_stationary, sobolev_norm)
 
 TWO_PI = 2.0 * math.pi
@@ -27,7 +27,6 @@ class TracerState:
 
     position: np.ndarray      # componentwise in [0, 2pi)
     displacement: np.ndarray  # unwrapped
-    time: float = 0.0
 
 
 @dataclass
@@ -76,8 +75,8 @@ def shift_field(f: FourierField, a) -> FourierField:
     return FourierField(f.model, f.coeffs * mult[:, None])
 
 
-def advect_step(tracer: TracerState, ou: OUState, dt: float,
-                rng: np.random.Generator) -> tuple[TracerState, OUState]:
+def advect_step(tracer: TracerState, field: FourierField, dt: float,
+                rng: np.random.Generator) -> tuple[TracerState, FourierField]:
     """One coupled step: field advanced by two exact half-steps, tracer by RK4.
 
     The field snapshots at t, t+dt/2, t+dt feed the four Runge-Kutta stages
@@ -85,13 +84,10 @@ def advect_step(tracer: TracerState, ou: OUState, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if abs(tracer.time - ou.time) > 1e-9 * max(1.0, abs(ou.time)):
-        raise ValueError("tracer and field clocks disagree")
-    model = ou.field.model
-    k = model.k_pos
-    half = ou_exact_step(ou, dt / 2.0, rng)
+    k = field.model.k_pos
+    half = ou_exact_step(field, dt / 2.0, rng)
     full = ou_exact_step(half, dt / 2.0, rng)
-    c0, ch, c1 = ou.field.coeffs, half.field.coeffs, full.field.coeffs
+    c0, ch, c1 = field.coeffs, half.coeffs, full.coeffs
     x = tracer.position
     k1 = _eval(c0, k, x)
     k2 = _eval(ch, k, wrap_torus(x + (0.5 * dt) * k1))
@@ -101,8 +97,7 @@ def advect_step(tracer: TracerState, ou: OUState, dt: float,
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("non-finite tracer increment")
     new = TracerState(position=wrap_torus(x + delta),
-                      displacement=tracer.displacement + delta,
-                      time=tracer.time + dt)
+                      displacement=tracer.displacement + delta)
     return new, full
 
 
@@ -120,9 +115,9 @@ def run_lagrangian(model: SpectrumModel, T: float, dt: float,
     if record_every < 1 or int(record_every) != record_every:
         raise ValueError("record_every must be a positive integer")
     rng = np.random.default_rng(seed)
-    ou = OUState(sample_stationary(model, rng), 0.0)
+    field = sample_stationary(model, rng)
     d = model.dimension
-    tracer = TracerState(np.zeros(d), np.zeros(d), 0.0)
+    tracer = TracerState(np.zeros(d), np.zeros(d))
 
     n_steps = int(round(T / dt))
     rec_idx = list(range(0, n_steps + 1, int(record_every)))
@@ -139,13 +134,13 @@ def run_lagrangian(model: SpectrumModel, T: float, dt: float,
         times[j] = step * dt
         positions[j] = tracer.position
         displacements[j] = tracer.displacement
-        velocities[j] = evaluate(ou.field, tracer.position)
-        norms[j] = sobolev_norm(shift_field(ou.field, tracer.position), model.m)
+        velocities[j] = evaluate(field, tracer.position)
+        norms[j] = sobolev_norm(shift_field(field, tracer.position), model.m)
 
     record(0, 0)
     j = 1
     for step in range(1, n_steps + 1):
-        tracer, ou = advect_step(tracer, ou, dt, rng)
+        tracer, field = advect_step(tracer, field, dt, rng)
         if j < n_rec and step == rec_idx[j]:
             record(j, step)
             j += 1

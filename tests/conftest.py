@@ -56,14 +56,21 @@ def zero_energy_model(gammas=None, d=2, K=1):
 
 def pair_row(model, k) -> int:
     """Row of the representative slice that holds the pair {k, -k}."""
-    i = model._lookup(k)
-    rep = max(i, model.size - 1 - i)   # of a site and its mirror, the upper-half one
-    return int(np.flatnonzero(model.pair_pos == rep)[0])
+    return model._lookup(k)[0]
 
 
 def pair_field(model, k, coeff):
     """Field with coefficient `coeff` at k and the conjugate at -k."""
     c = np.zeros((model.n_pairs, model.dimension), dtype=complex)
-    row = pair_row(model, k)
-    c[row] = coeff if model.pair_pos[row] == model._lookup(k) else np.conj(coeff)
+    row, mirrored = model._lookup(k)
+    c[row] = np.conj(coeff) if mirrored else coeff
     return FourierField(model, c)
+
+
+def full_sites(model):
+    """Every lattice site rebuilt from the pair rows: the representatives k,
+    then their mirrors -k, which carry the same rate and the conjugate
+    energy.  Returns k (float), gamma and energy in that site order."""
+    k = np.concatenate([model.wavevectors, -model.wavevectors]).astype(float)
+    return (k, np.concatenate([model.gamma, model.gamma]),
+            np.concatenate([model.energy, model.energy.conj()]))

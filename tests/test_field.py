@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from tracerflow import (FourierField, NumericalFailure, OUState,
+from tracerflow import (FourierField, NumericalFailure,
                         SpectrumError, apply_semigroup,
                         build_power_law_spectrum, covariance_oracle, evaluate,
                         noiseless_flow_step, origin_value,
@@ -93,12 +93,12 @@ def test_stationary_covariance_matches_model(full_k2_model):
     tr = np.real(np.trace(m.energy, axis1=1, axis2=2))
     thresh = 1e-3 * tr.max()
     # the mirror of each representative carries the conjugate by construction
-    for p, i in enumerate(m.pair_pos):
-        if tr[i] < thresh:
+    for p in range(m.n_pairs):
+        if tr[p] < thresh:
             continue
         cov = np.einsum("ni,nj->ij", draws[:, p, :], draws[:, p, :].conj()) / 20000
-        rel = np.linalg.norm(cov - m.energy[i]) / np.linalg.norm(m.energy[i])
-        assert rel < 0.05, f"mode {tuple(m.wavevectors[i])}: {rel}"
+        rel = np.linalg.norm(cov - m.energy[p]) / np.linalg.norm(m.energy[p])
+        assert rel < 0.05, f"mode {tuple(m.wavevectors[p])}: {rel}"
 
 
 def test_stationary_pseudo_covariance_vanishes(full_k2_model):
@@ -106,9 +106,9 @@ def test_stationary_pseudo_covariance_vanishes(full_k2_model):
     rng = np.random.default_rng(101)
     n = 20000
     draws = pair_noise(m, rng, lead_shape=(n,))
-    for p, i in enumerate(m.pair_pos):
+    for p in range(m.n_pairs):
         pc = np.einsum("ni,nj->ij", draws[:, p, :], draws[:, p, :]) / n
-        e = m.energy[i].real
+        e = m.energy[p].real
         # entrywise MC scale; 3 sigma on the Frobenius norm
         ent = np.sqrt((np.outer(np.diag(e), np.diag(e)) + np.abs(e) ** 2) / n)
         assert np.linalg.norm(pc) < 3.0 * np.linalg.norm(ent)
@@ -169,7 +169,7 @@ def test_ens_observation_step_in_place_is_the_out_of_place_step(
     noise = ens_pair_noise(m, rng, m.noise_scale(dt), n) if with_noise else None
     ref = ens_observation_step(m, cpos, dt, noise)
     # the per-component multiply is the broadcast multiply, bit for bit
-    phase = (origin_value(FourierField(m, cpos)) @ m.k_float[m.pair_pos].T) * dt
+    phase = (origin_value(FourierField(m, cpos)) @ m.k_pos.T) * dt
     broadcast = cpos * _phase_factor(phase, m.decay(dt))[:, :, None]
     if with_noise:
         broadcast += noise
@@ -195,8 +195,8 @@ def test_stacked_observation_steps_grow_the_norm_as_the_closed_form(default_mode
         ens_observation_step(m, cpos, dt, ens_pair_noise(m, rng, scale, n), out=cpos)
     sq = ens_norm_m(m, cpos) ** 2
     trace = np.real(np.trace(m.energy, axis1=1, axis2=2))
-    closed = float((m.sobolev_weight(m.m) * trace
-                    * -np.expm1(-2.0 * m.gamma * steps * dt)).sum())
+    closed = 2.0 * float((m.sobolev_weight(m.m) * trace    # twice the pair rows
+                          * -np.expm1(-2.0 * m.gamma * steps * dt)).sum())
     z = (sq.mean() - closed) / (sq.std(ddof=1) / math.sqrt(n))
     assert abs(z) <= 4.0, z
 
@@ -221,10 +221,9 @@ def test_ens_origin_value_is_twice_the_real_sum(d):
 def test_ou_zero_energy_is_pure_decay():
     m = zero_energy_model(gammas={(1, 0): 2.0, (0, 1): 0.5})
     f = pair_field(m, (1, 0), [0.4 + 0.2j, 0.1])
-    out = ou_exact_step(OUState(f, 0.0), 0.7, np.random.default_rng(0))
-    expect = f.coeffs * np.exp(-m.gamma[m.pair_pos] * 0.7)[:, None]
-    np.testing.assert_array_equal(out.field.coeffs, expect)
-    assert out.time == pytest.approx(0.7)
+    out = ou_exact_step(f, 0.7, np.random.default_rng(0))
+    expect = f.coeffs * np.exp(-m.gamma * 0.7)[:, None]
+    np.testing.assert_array_equal(out.coeffs, expect)
 
 
 def test_ou_long_step_forgets_start(full_k2_model):
@@ -236,7 +235,7 @@ def test_ou_long_step_forgets_start(full_k2_model):
     out = ens_ou_step(m, start, 50.0, rng)
     idx = 0
     cov = np.einsum("ni,nj->ij", out[:, idx, :], out[:, idx, :].conj()) / 20000
-    target = m.energy[m.pair_pos[idx]]
+    target = m.energy[idx]
     assert np.linalg.norm(cov - target) / np.linalg.norm(target) < 0.05
 
 
@@ -245,12 +244,11 @@ def test_ou_lag_correlation(full_k2_model):
     rng = np.random.default_rng(8)
     c0 = ens_pair_noise(m, rng, None, 20000)
     c1 = ens_ou_step(m, c0, 1.0, rng)
-    gamma_pos = m.gamma[m.pair_pos]
-    tr = np.real(np.trace(m.energy, axis1=1, axis2=2))[m.pair_pos]
+    tr = np.real(np.trace(m.energy, axis1=1, axis2=2))
     for idx in range(m.n_pairs):
         num = np.real(np.einsum("ni,ni->", c1[:, idx, :], c0[:, idx, :].conj())) / 20000
         rho = num / tr[idx]
-        assert abs(rho - math.exp(-gamma_pos[idx])) < 0.05
+        assert abs(rho - math.exp(-m.gamma[idx])) < 0.05
 
 
 def test_ou_stationarity_preserved(full_k2_model):
@@ -260,24 +258,24 @@ def test_ou_stationarity_preserved(full_k2_model):
     c = ens_ou_step(m, c, 0.3, rng)
     idx = 0
     cov = np.einsum("ni,nj->ij", c[:, idx, :], c[:, idx, :].conj()) / 20000
-    target = m.energy[m.pair_pos[idx]]
+    target = m.energy[idx]
     assert np.linalg.norm(cov - target) / np.linalg.norm(target) < 0.05
 
 
 def test_ou_rejects_nonpositive_dt(small_model):
     f = zero_field(small_model)
     with pytest.raises(ValueError):
-        ou_exact_step(OUState(f, 0.0), 0.0, np.random.default_rng(0))
+        ou_exact_step(f, 0.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- oracle
 
 def test_covariance_oracle_values(small_model):
     m = single_pair_model(gamma=2.0, energy=np.diag([0.5, 1.5]))
-    np.testing.assert_array_equal(covariance_oracle(m, 0.0, (1, 0)),
-                                  m.energy[m._lookup((1, 0))])
+    i = pair_row(m, (1, 0))
+    np.testing.assert_array_equal(covariance_oracle(m, 0.0, (1, 0)), m.energy[i])
     np.testing.assert_allclose(covariance_oracle(m, 0.5, (1, 0)),
-                               math.exp(-1.0) * m.energy[m._lookup((1, 0))], rtol=1e-15)
+                               math.exp(-1.0) * m.energy[i], rtol=1e-15)
     norms = [np.linalg.norm(covariance_oracle(m, h, (1, 0)))
              for h in (0.0, 0.3, 0.9, 2.4)]
     assert all(b <= a for a, b in zip(norms, norms[1:]))
@@ -329,8 +327,8 @@ def test_observation_step_noiseless_limit():
     out = ens_observation_step(m, f.coeffs, 0.1,
                                observation_noise(m, np.random.default_rng(0), 0.1))
     u = origin_value(f)
-    gamma = m.gamma[m.pair_pos]
-    phase = (u @ m.k_float[m.pair_pos].T) * 0.1
+    gamma = m.gamma
+    phase = (u @ m.k_pos.T) * 0.1
     expect = f.coeffs * (np.exp(-gamma * 0.1) * (np.cos(phase) + 1j * np.sin(phase)))[:, None]
     np.testing.assert_array_equal(out, expect)
     decay = np.abs(f.coeffs) * np.exp(-gamma * 0.1)[:, None]
@@ -353,8 +351,8 @@ def test_observation_step_linear_case_matches_exact_ou():
     rngv = np.random.default_rng(51)
     vn = np.empty(n)
     for i in range(n):
-        v = ou_exact_step(OUState(zero_field(m), 0.0), 1.0, rngv)
-        vn[i] = abs(v.field.coeffs[idx, 1])
+        v = ou_exact_step(zero_field(m), 1.0, rngv)
+        vn[i] = abs(v.coeffs[idx, 1])
     assert ks_2samp(zn, vn).pvalue > 0.01
 
 
@@ -400,7 +398,8 @@ def test_pointwise_bound_from_norm(small_model):
     # sup over the torus of |V| + |DV|_F is controlled by the X^m norm with
     # the computable constant sum_k (1 + |k|) |k|^{-m}
     m = small_model
-    c_const = float(((1.0 + m.k_norm) * m.k_norm ** (-float(m.m))).sum())
+    # twice the sum over the pair rows: the sum over every lattice site
+    c_const = 2.0 * float(((1.0 + m.k_norm) * m.k_norm ** (-float(m.m))).sum())
     grid = np.stack(np.meshgrid(*(2 * [np.linspace(0, 2 * math.pi, 64, endpoint=False)]),
                                 indexing="ij"), axis=-1).reshape(-1, 2)
     phases = np.exp(1j * (grid @ m.k_pos.T))             # (points, n_pairs)

@@ -15,31 +15,31 @@ from hypothesis import given, settings, strategies as st
 from tracerflow import (FourierField, apply_semigroup, evaluate, noiseless_flow_step,
                         origin_value, shift_field, sobolev_norm)
 from tracerflow.field import _ou, ens_observation_step
-from conftest import model_of_dimension
+from conftest import full_sites, model_of_dimension
 
 EPS = np.finfo(float).eps
 
 
 def full_table(model, coeffs):
-    """The per-site table (..., size, d) of a representative slice."""
-    out = np.zeros(coeffs.shape[:-2] + (model.size, model.dimension), dtype=complex)
-    out[..., model.pair_pos, :] = coeffs
-    out[..., model.size - 1 - model.pair_pos, :] = coeffs.conj()
-    return out
+    """The per-site table (..., 2 n_pairs, d) of a representative slice, in
+    the order of full_sites."""
+    return np.concatenate([coeffs, coeffs.conj()], axis=-2)
 
 
 def site_decay(model, t):
-    return np.exp(-model.gamma * t)
+    return np.exp(-full_sites(model)[1] * t)
 
 
 # ------------------------------------------------ full-table formulas
 
 def oracle_value(model, full, xi):
-    return (np.exp(1j * (model.wavevectors @ xi)) @ full).real
+    return (np.exp(1j * (full_sites(model)[0] @ xi)) @ full).real
 
 
 def oracle_norm_sq(model, full, r):
-    return (model.sobolev_weight(r) * (np.abs(full) ** 2).sum(axis=-1)).sum(axis=-1)
+    k = full_sites(model)[0]
+    weight = np.sqrt((k ** 2).sum(axis=1)) ** (2.0 * r)
+    return (weight * (np.abs(full) ** 2).sum(axis=-1)).sum(axis=-1)
 
 
 def oracle_origin(full):
@@ -47,11 +47,11 @@ def oracle_origin(full):
 
 
 def oracle_shift(model, full, a):
-    return full * np.exp(1j * (model.wavevectors @ a))[:, None]
+    return full * np.exp(1j * (full_sites(model)[0] @ a))[:, None]
 
 
 def oracle_noiseless(model, full, dt):
-    k = model.k_float
+    k = full_sites(model)[0]
     e_half, e_full = site_decay(model, dt / 2.0), site_decay(model, dt)
 
     def rhs(w, decay):
@@ -67,7 +67,8 @@ def oracle_noiseless(model, full, dt):
 
 def oracle_observation(model, full, dt):
     u = oracle_origin(full)
-    factor = np.exp((-model.gamma + 1j * (u @ model.k_float.T)) * dt)
+    k, gamma, _ = full_sites(model)
+    factor = np.exp((-gamma + 1j * (u @ k.T)) * dt)
     return full * factor[..., None]
 
 

@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 
 from tracerflow import (SpectrumError, build_power_law_spectrum, check_h1,
-                        check_h2, gamma_star, h2_tail_bound,
-                        spectrum_from_tables)
+                        check_h2, covariance_oracle, gamma_star, h2_tail_bound,
+                        spectrum_from_tables, stationary_norm_moment)
+from tracerflow import spectrum
 from tracerflow.spectrum import HERMITIAN_RTOL, PSD_FLOOR_RTOL
-from conftest import single_pair_model
+from conftest import full_sites, pair_row, single_pair_model
 
 
 def test_lattice_count_k1():
     m = build_power_law_spectrum(2, 1, 1.0, 14.0, "full", 1.0, 2.0)
-    assert m.size == 8  # 3x3 block minus the origin
+    assert 2 * m.n_pairs == 8  # 3x3 block minus the origin
 
 
 def test_incompressible_projector_orthogonal_to_k():
     m = build_power_law_spectrum(2, 1, 1.0, 0.0, "incompressible", 1.0, 2.0)
-    np.testing.assert_allclose(m.energy[m._lookup((1, 0))].real, [[0, 0], [0, 1]],
+    np.testing.assert_allclose(m.energy[pair_row(m, (1, 0))].real, [[0, 0], [0, 1]],
                                atol=1e-15)
     # projector annihilates k itself
-    e = m.energy[m._lookup((1, 1))]
+    e = m.energy[pair_row(m, (1, 1))]
     assert np.abs(e @ np.array([1.0, 1.0])).max() < 1e-14
 
 
@@ -33,7 +34,7 @@ def test_potential_plus_incompressible_is_full():
 
 def test_gamma_power_law_value():
     m = build_power_law_spectrum(2, 2, 1.0, 14.0, "full", 1.0, 2.0)
-    assert m.gamma[m._lookup((2, 1))] == pytest.approx(5.0, abs=1e-14)
+    assert m.gamma[pair_row(m, (2, 1))] == pytest.approx(5.0, abs=1e-14)
 
 
 def test_gamma_star_quadratic_lattice(default_model):
@@ -112,9 +113,8 @@ def test_sums_monotone_in_truncation():
 
 def test_energy_mirror_is_exact_conjugate(default_model):
     m = default_model
-    for i in m.pair_pos:
-        j = m.size - 1 - i   # the mirror rule of SpectrumModel
-        assert np.array_equal(m.energy[j], m.energy[i].conj())
+    for k, e in zip(m.wavevectors, m.energy):
+        assert np.array_equal(covariance_oracle(m, 0.0, -k), e.conj())
 
 
 def test_mode_table_validation_rejects_bad_energy():
@@ -151,22 +151,23 @@ def test_builder_rejections():
 def test_psd_tolerance_accepts_projector_roundoff():
     # projectors produce eigenvalues at the -1e-16 level; they must pass
     m = build_power_law_spectrum(3, 2, 1.0, 4.0, "incompressible", 1.0, 2.0)
-    assert m.size == 5 ** 3 - 1
+    assert 2 * m.n_pairs == 5 ** 3 - 1
 
 
-def _per_site_tables(model):
-    """The per-site validation and pairing loop the model build used to run,
-    kept as the reference for its vectorised form."""
-    kv = model.wavevectors
+def _per_site_tables(kv, gamma, energy):
+    """The per-site validation and pairing loop the model build used to run
+    on the full lattice tables, kept as the reference for its vectorised
+    form.  Returns the row of each representative (the lex-larger of k and
+    -k) and the representatives' tables."""
     index = {tuple(int(c) for c in row): i for i, row in enumerate(kv)}
-    pos, neg = [], []
+    pos = []
     for i, row in enumerate(kv):
         key = tuple(int(c) for c in row)
         mirror = tuple(-c for c in key)
         j = index[mirror]
-        assert model.gamma[i] == model.gamma[j]
-        e = model.energy[i]
-        assert np.abs(model.energy[j] - e.conj()).max() <= \
+        assert gamma[i] == gamma[j]
+        e = energy[i]
+        assert np.abs(energy[j] - e.conj()).max() <= \
             HERMITIAN_RTOL * (1.0 + np.abs(e).max())
         scale = float(np.abs(e).max(initial=0.0))
         if scale > 0.0:
@@ -176,12 +177,12 @@ def _per_site_tables(model):
             assert eigs.min() >= -PSD_FLOOR_RTOL * max(trace, scale)
         if key > mirror:
             pos.append(i)
-            neg.append(j)
     pos = np.asarray(pos, dtype=int)
-    w, v = np.linalg.eigh(model.energy[pos])
+    w, v = np.linalg.eigh(energy[pos])
     w = np.where(w > 0.0, w, 0.0)
     sqrt_energy = np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj())
-    return index, pos, np.asarray(neg, dtype=int), kv.astype(float)[pos], sqrt_energy
+    rows = {tuple(int(c) for c in kv[i]): r for r, i in enumerate(pos)}
+    return rows, (kv[pos], gamma[pos], energy[pos], kv[pos].astype(float), sqrt_energy)
 
 
 def _complex_hermitian_model():
@@ -196,14 +197,46 @@ def _complex_hermitian_model():
     (d, K, p) for d in (1, 2, 3) for K in (1, 3, 8)
     for p in ("full", "incompressible", "potential")
     if not (d == 1 and p == "incompressible")] + [("tables", None, None)])
-def test_vectorised_build_is_the_per_site_loop(d, K, projection):
+def test_vectorised_build_is_the_per_site_loop(monkeypatch, d, K, projection):
+    inputs, finalize = [], spectrum._finalize
+    monkeypatch.setattr(spectrum, "_finalize",
+                        lambda *args: inputs.append(args[4:]) or finalize(*args))
     m = (_complex_hermitian_model() if d == "tables" else
          build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0))
-    index, pos, neg, k_pos, sqrt_energy = _per_site_tables(m)
-    assert m._index == index
-    assert [type(k[0]) for k in m._index] == [int] * len(index)
-    mirror = m.size - 1 - m.pair_pos   # the mirror rule of SpectrumModel
-    for got, want in ((m.pair_pos, pos), (mirror, neg), (m.k_pos, k_pos),
-                      (m.sqrt_energy_pos, sqrt_energy)):
+    (kv, gamma, energy), = inputs   # the full per-site tables
+    assert kv.shape[0] == 2 * m.n_pairs
+    rows, tables = _per_site_tables(kv, gamma, energy)
+    assert m._index == rows
+    assert [type(k[0]) for k in m._index] == [int] * len(rows)
+    for got, want in zip((m.wavevectors, m.gamma, m.energy, m.k_pos,
+                          m.sqrt_energy_pos), tables):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_covariance_oracle_mirror_is_the_conjugate():
+    m = _complex_hermitian_model()
+    assert np.abs(m.energy.imag).max() > 0.0
+    for k in m.wavevectors:
+        for h in (0.0, 0.3, 2.0):
+            assert np.array_equal(covariance_oracle(m, h, -k),
+                                  covariance_oracle(m, h, k).conj())
+
+
+@pytest.mark.parametrize("build", [
+    _complex_hermitian_model,
+    lambda: build_power_law_spectrum(2, 8, 1.0, 14.0, "incompressible", 1.0, 2.0),
+    lambda: build_power_law_spectrum(3, 3, 1.0, 4.0, "full", 0.7, 1.5)],
+    ids=["tables", "d2_incompressible", "d3_full"])
+def test_lattice_sums_are_twice_the_row_sums(build):
+    m = build()
+    k, gamma, energy = full_sites(m)
+    norm = np.sqrt((k ** 2).sum(axis=1))
+    tr = np.real(np.trace(energy, axis1=1, axis2=2))
+    tr_sq = np.real(np.trace(energy @ energy, axis1=1, axis2=2))
+    h1 = (gamma ** m.alpha * norm ** (2.0 * (m.m + 1)) * tr).sum()
+    s2 = (norm ** (2.0 * m.m) * tr).sum()
+    s4 = s2 ** 2 + 2.0 * (norm ** (4.0 * m.m) * tr_sq).sum()
+    assert check_h1(m) == pytest.approx(h1, rel=1e-12, abs=0)
+    assert stationary_norm_moment(m, 1) == pytest.approx(s2, rel=1e-12, abs=0)
+    assert stationary_norm_moment(m, 2) == pytest.approx(s4, rel=1e-12, abs=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from tracerflow import (FourierField, OUState, TracerState, advect_step,
+from tracerflow import (FourierField, TracerState, advect_step,
                         run_lagrangian, sample_stationary, shift_field,
                         sobolev_norm, stokes_drift_estimate)
 from tracerflow.field import ou_exact_step
@@ -50,23 +50,22 @@ def test_shift_preserves_every_norm(small_model):
 
 def test_tracer_stationary_in_dead_field():
     m = zero_energy_model()
-    tr = TracerState(np.zeros(2), np.zeros(2), 0.0)
-    ou = OUState(FourierField(m, np.zeros((m.n_pairs, 2), complex)), 0.0)
+    tr = TracerState(np.zeros(2), np.zeros(2))
+    f = FourierField(m, np.zeros((m.n_pairs, 2), complex))
     rng = np.random.default_rng(0)
     for _ in range(100):
-        tr, ou = advect_step(tr, ou, 1e-2, rng)
+        tr, f = advect_step(tr, f, 1e-2, rng)
     assert not np.any(tr.displacement)
-    assert tr.time == pytest.approx(1.0)
+    assert not np.any(f.coeffs)
 
 
 def test_frozen_field_matches_scalar_ode_oracle():
     a = 0.4
     m, frozen = frozen_cosine_model(a)
-    tr = TracerState(np.zeros(2), np.zeros(2), 0.0)
-    ou = OUState(frozen, 0.0)
+    tr, f = TracerState(np.zeros(2), np.zeros(2)), frozen
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        tr, ou = advect_step(tr, ou, 1e-3, rng)
+        tr, f = advect_step(tr, f, 1e-3, rng)
     sol = solve_ivp(lambda t, x: [2 * a * math.cos(x[0])], (0.0, 1.0), [0.0],
                     rtol=1e-12, atol=1e-14)
     assert abs(tr.position[0] - sol.y[0, -1]) < 1e-6
@@ -77,24 +76,16 @@ def test_frozen_field_step_halving_is_fourth_order():
     m, frozen = frozen_cosine_model(1.0)
 
     def run(dt, T=1.0):
-        tr = TracerState(np.zeros(2), np.zeros(2), 0.0)
-        ou = OUState(frozen, 0.0)
+        tr, f = TracerState(np.zeros(2), np.zeros(2)), frozen
         rng = np.random.default_rng(0)
         for _ in range(int(round(T / dt))):
-            tr, ou = advect_step(tr, ou, dt, rng)
+            tr, f = advect_step(tr, f, dt, rng)
         return tr.position[0]
 
     ref = run(1e-4)
     e1 = abs(run(0.05) - ref)
     e2 = abs(run(0.025) - ref)
     assert 8.0 < e1 / e2 < 32.0
-
-
-def test_advect_requires_matching_clocks(small_model):
-    tr = TracerState(np.zeros(2), np.zeros(2), 0.0)
-    ou = OUState(sample_stationary(small_model, np.random.default_rng(0)), 1.0)
-    with pytest.raises(ValueError):
-        advect_step(tr, ou, 1e-2, np.random.default_rng(1))
 
 
 # ---------------------------------------------------------------- full runs
@@ -121,14 +112,14 @@ def test_recorded_norm_equals_unshifted_field_norm(small_model):
     T, dt, every, seed = 2.0, 0.01, 4, 6
     rec = run_lagrangian(m, T, dt, every, seed)
     rng = np.random.default_rng(seed)
-    ou = OUState(sample_stationary(m, rng), 0.0)
-    replay = [sobolev_norm(ou.field, m.m)]
+    f = sample_stationary(m, rng)
+    replay = [sobolev_norm(f, m.m)]
     n_steps = int(round(T / dt))
     for step in range(1, n_steps + 1):
-        ou = ou_exact_step(ou, dt / 2, rng)
-        ou = ou_exact_step(ou, dt / 2, rng)
+        f = ou_exact_step(f, dt / 2, rng)
+        f = ou_exact_step(f, dt / 2, rng)
         if step % every == 0 or step == n_steps:
-            replay.append(sobolev_norm(ou.field, m.m))
+            replay.append(sobolev_norm(f, m.m))
     np.testing.assert_allclose(rec.field_norms, replay, rtol=1e-12, atol=0)
 
 
