@@ -188,9 +188,7 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
                 raise ConfigError(f"probe.horizons: {t} is off the grid of dt * record_every")
     model = _build_model(cfg)
     seed = sim.seed
-    psi = ObservableSpec(kind=pr.observable,
-                         component=pr.component if pr.observable == "velocity_at_origin" else None,
-                         delta=pr.delta if pr.observable == "indicator_ball" else None)
+    psi = ObservableSpec(pr.observable, pr.component, pr.delta)
     lines = []
 
     rec = run_lagrangian(model, sim.T, sim.dt, sim.record_every,

@@ -33,12 +33,12 @@ class ObservableSpec:
     """Observable evaluated along observation-process states.
 
     bounded_lipschitz_of_norm: tanh(||z||_{X^m}^2), bounded and Lipschitz.
-    velocity_at_origin: component of z(0) (all components when None).
+    velocity_at_origin: one component of z(0).
     indicator_ball: 1{||z||_{X^m} < delta}, the ball around the origin.
     """
 
     kind: str = "bounded_lipschitz_of_norm"
-    component: int | None = None
+    component: int = 0
     delta: float | None = None
 
     def __post_init__(self):
@@ -56,16 +56,13 @@ class ObservableSpec:
 
     def series(self, record: TrajectoryRecord) -> np.ndarray:
         if self.kind == "velocity_at_origin":
-            if self.component is None:
-                return record.velocities
             return record.velocities[:, self.component]
         return self.from_norm(record.field_norms)
 
     def on_stacked(self, model: SpectrumModel, cpos: np.ndarray) -> np.ndarray:
         """Evaluate on stacked representative slices (members, n_pairs, d)."""
         if self.kind == "velocity_at_origin":
-            vals = origin_value(FourierField(model, cpos))
-            return vals if self.component is None else vals[..., self.component]
+            return origin_value(FourierField(model, cpos))[..., self.component]
         return self.from_norm(ens_norm_m(model, cpos))
 
 
@@ -89,10 +86,8 @@ def _trapezoid_mean(series: np.ndarray, times: np.ndarray):
 
 def time_average_with_stderr(record: TrajectoryRecord,
                              psi: ObservableSpec) -> tuple[float, float]:
-    """Time average plus a batch-means standard error (scalar observables)."""
+    """Time average plus a batch-means standard error."""
     series = np.asarray(psi.series(record), dtype=float)
-    if series.ndim != 1:
-        raise ValueError("batch-means stderr needs a scalar observable")
     avg = float(_trapezoid_mean(series, record.times))
     batches = np.array_split(series, _STDERR_BATCHES)
     means = np.array([b.mean() for b in batches if b.size])
@@ -358,6 +353,5 @@ def lln_test(model: SpectrumModel, psi: ObservableSpec, horizons, ensemble: int,
         horizons[i] = times[j - 1]
         vals = np.asarray([_trapezoid_mean(s[:j], times[:j]) for s in series],
                           dtype=float)
-        variances[i] = float(vals.var(ddof=1)) if vals.ndim == 1 else \
-            float(vals.var(axis=0, ddof=1).mean())
+        variances[i] = float(vals.var(ddof=1))
     return LLNReport(horizons=horizons, variances=variances)

@@ -12,7 +12,9 @@ against.  The zero wavevector is excluded (mean-zero fields) and the site
 at ``-k`` always carries the same rate and the conjugate energy so that
 sampled fields are real valued.  A model therefore keeps one row per
 conjugate pair, at its representative k (the lex-larger of k and -k); a
-sum over the full lattice is twice the sum over the rows.
+sum over the full lattice is twice the sum over the rows.  The builders
+produce the representatives only; a mirror -k can enter only as an entry
+of :func:`spectrum_from_tables`, which maps it to its representative.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ class SpectrumModel:
     """Immutable-by-convention container for the truncated field model.
 
     Every table has one row per conjugate pair {k, -k}, at the representative
-    k, the upper half of the lex-sorted lattice sites.  The mirror -k carries
-    the same gamma and the conjugate energy, so a sum over every lattice site
-    (the regularity functional, the stationary moments) is twice the sum over
-    the rows; minima and maxima over the rows are those over the lattice.
+    k, the upper half of the lex-sorted lattice sites; no builder makes the
+    other half.  The mirror -k carries the same gamma and the conjugate
+    energy, so a sum over every lattice site (the regularity functional, the
+    stationary moments) is twice the sum over the rows; minima and maxima
+    over the rows are those over the lattice.
     """
 
     dimension: int
@@ -97,15 +100,15 @@ class SpectrumModel:
 
 
 def _lattice(d: int, K: int) -> np.ndarray:
+    """Pair representatives of the ball {0 < |k|_inf <= K} in lex order: the
+    sites lex-larger than the origin, which is the middle row of the grid."""
     axes = [np.arange(-K, K + 1)] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    grid = grid[np.any(grid != 0, axis=1)]
-    order = np.lexsort(grid.T[::-1])
-    return grid[order]
+    return grid[grid.shape[0] // 2 + 1:]
 
 
 def _reject_first(bad: np.ndarray, message) -> None:
-    """Raise message(i) for the first site i flagged in bad."""
+    """Raise message(i) for the first row i flagged in bad."""
     hits = np.flatnonzero(bad)
     if hits.size:
         raise SpectrumError(message(int(hits[0])))
@@ -113,27 +116,16 @@ def _reject_first(bad: np.ndarray, message) -> None:
 
 def _finalize(d: int, K: int, m: int, alpha: float, kv: np.ndarray,
               gamma: np.ndarray, energy: np.ndarray) -> SpectrumModel:
-    """Validate the per-site tables (every lattice site, lex-sorted) and keep
-    their upper half, the conjugate-pair representatives."""
-    size = kv.shape[0]
+    """Validate the tables of the pair representatives (lex-sorted) and build
+    the model.  The mirror of a Hermitian PSD energy is its conjugate, which
+    is Hermitian PSD too, so checking the rows covers every lattice site."""
     keys = [tuple(row) for row in kv.tolist()]
+    _reject_first(~(np.isfinite(gamma) & np.isfinite(energy).all(axis=(1, 2))),
+                  lambda i: f"gamma or energy at {keys[i]} is not finite")
     if np.any(gamma <= 0.0):
         raise SpectrumError("all mixing rates must be positive")
-    if size % 2 or not np.array_equal(kv[::-1], -kv):
-        index = set(keys)
-        for key in keys:
-            mirror = tuple(-c for c in key)
-            if mirror not in index:
-                raise SpectrumError(f"mirror site {mirror} of {key} is missing")
-        raise SpectrumError("sites must be lex-sorted and closed under negation, without k = 0")
-    # from here on the mirror of site i is site size-1-i
-    _reject_first(gamma != gamma[::-1],
-                  lambda i: f"gamma({keys[i]}) != gamma({keys[-1 - i]})")
     scale = np.abs(energy).max(axis=(1, 2))
-    conj = energy.conj()
-    _reject_first(np.abs(energy[::-1] - conj).max(axis=(1, 2)) > HERMITIAN_RTOL * (1.0 + scale),
-                  lambda i: f"energy({keys[-1 - i]}) is not the conjugate of energy({keys[i]})")
-    energy_h = conj.swapaxes(1, 2)
+    energy_h = energy.conj().swapaxes(1, 2)
     herm = np.abs(energy - energy_h).max(axis=(1, 2))
     _reject_first(herm > HERMITIAN_RTOL * scale,
                   lambda i: f"energy at {keys[i]} not Hermitian (deviation {herm[i]:.3g})")
@@ -142,18 +134,17 @@ def _finalize(d: int, K: int, m: int, alpha: float, kv: np.ndarray,
     _reject_first(eig_min < -PSD_FLOOR_RTOL * np.maximum(trace, scale),
                   lambda i: f"energy at {keys[i]} not PSD (min eig {eig_min[i]:.3g})")
 
-    half = slice(size // 2, size)
-    k_pos = kv[half].astype(float)
+    k_pos = kv.astype(float)
     k_norm = np.sqrt((k_pos ** 2).sum(axis=1))
     # Hermitian square roots; tiny negative eigenvalues from projector
     # roundoff are clipped at the PSD floor.
-    w, v = np.linalg.eigh(energy[half])
+    w, v = np.linalg.eigh(energy)
     w = np.where(w > 0.0, w, 0.0)
     return SpectrumModel(dimension=d, truncation=K, m=int(m), alpha=float(alpha),
-                         wavevectors=kv[half], gamma=gamma[half], energy=energy[half],
+                         wavevectors=kv, gamma=gamma, energy=energy,
                          k_norm=k_norm, k_pos=k_pos,
                          sqrt_energy_pos=np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj()),
-                         _index=dict(zip(keys[half], range(size // 2))),
+                         _index=dict(zip(keys, range(len(keys)))),
                          _weight_m=k_norm ** (2.0 * int(m)))
 
 
@@ -161,7 +152,8 @@ def build_power_law_spectrum(d: int, K: int, sigma0: float, decay_p: float,
                              projection: str, gamma_coeff: float,
                              gamma_power: float, m: int = 3,
                              alpha: float = 0.5) -> SpectrumModel:
-    """Power-law model on the full lattice ball {0 < |k|_inf <= K}.
+    """Power-law model on the lattice ball {0 < |k|_inf <= K}, built at its
+    pair representatives.
 
     energy(k) = sigma0 * |k|^{-decay_p} * P(k) with P the identity, the
     projector orthogonal to k, or the projector onto k; gamma(k) =
@@ -187,15 +179,10 @@ def build_power_law_spectrum(d: int, K: int, sigma0: float, decay_p: float,
 
     outer = kf[:, :, None] * kf[:, None, :] / norm2[:, None, None]
     eye = np.broadcast_to(np.eye(d), outer.shape)
-    if projection == "full":
-        proj = np.array(eye, dtype=float)
-    elif projection == "incompressible":
-        proj = eye - outer
-    else:
-        proj = outer
-
-    energy = (sigma0 * norm ** (-decay_p))[:, None, None] * proj
-    gamma = gamma_coeff * norm ** gamma_power
+    proj = {"full": eye, "incompressible": eye - outer, "potential": outer}[projection]
+    with np.errstate(over="ignore", invalid="ignore"):   # _finalize rejects inf and nan
+        energy = (sigma0 * norm ** (-decay_p))[:, None, None] * proj
+        gamma = gamma_coeff * norm ** gamma_power
     return _finalize(d, K, m, alpha, kv, gamma, energy.astype(complex))
 
 
@@ -203,11 +190,12 @@ def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
                          alpha: float = 0.5) -> SpectrumModel:
     """Model from an explicit {wavevector: (gamma, energy)} table.
 
-    Only pair representatives need to be listed; missing mirrors are filled
-    with the conjugate energy.  Sites absent from the table do not exist in
-    the model (the lattice ball need not be complete).
+    A site may be listed as k or as its mirror -k; a listed -k enters the
+    model at its representative k with the conjugate energy, and when both
+    are listed their entries must agree.  Sites absent from the table do not
+    exist in the model (the lattice ball need not be complete).
     """
-    table = {}
+    table, mirrored = {}, {}
     for k, (g, e) in entries.items():
         key = tuple(int(c) for c in k)
         if len(key) != d:
@@ -216,12 +204,21 @@ def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
             raise SpectrumError("zero wavevector not allowed")
         if max(abs(c) for c in key) > K:
             raise SpectrumError(f"wavevector {key} outside the truncation ball")
-        table[key] = (float(g), np.asarray(e, dtype=complex).reshape(d, d))
-    for key in list(table):
+        e = np.asarray(e, dtype=complex).reshape(d, d)
         mirror = tuple(-c for c in key)
-        if mirror not in table:
-            g, e = table[key]
-            table[mirror] = (g, e.conj())
+        if key > mirror:
+            table[key] = (float(g), e)
+        else:
+            mirrored[mirror] = (float(g), e.conj())
+    for key, (g, e) in sorted(mirrored.items()):
+        if key not in table:
+            table[key] = (g, e)
+            continue
+        mirror = tuple(-c for c in key)
+        if g != table[key][0]:
+            raise SpectrumError(f"gamma({mirror}) != gamma({key})")
+        if np.abs(table[key][1] - e).max() > HERMITIAN_RTOL * (1.0 + np.abs(e).max()):
+            raise SpectrumError(f"energy({key}) is not the conjugate of energy({mirror})")
     keys = sorted(table)
     kv = np.asarray(keys, dtype=int)
     gamma = np.asarray([table[k][0] for k in keys])

@@ -524,10 +524,16 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("ergodic", "probe", "offsets", [math.inf, 0.5], "probe.offsets[0]: must be finite"),
     ("validate", "probe", "horizons", [0.5, "x"], "probe.horizons[1]: expected a number"),
     ("ergodic", "probe", "R", -1.0, "probe.R"),
+    ("validate", "spectrum", "decay_p", -1000, "is not finite"),
+    ("tracer", "spectrum", "decay_p", -1000, "is not finite"),
+    ("validate", "spectrum", "gamma_power", 2000, "is not finite"),
+    ("tracer", "spectrum", "gamma_power", 2000, "is not finite"),
 ], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative",
         "horizon_negative", "ergodic_d1", "decay_d1", "field_d1", "output_section",
         "offsets_string", "offsets_null", "offsets_numeric_string", "offsets_bool",
-        "offsets_nan", "offsets_infinity", "horizons_string_second", "radius_negative"])
+        "offsets_nan", "offsets_infinity", "horizons_string_second", "radius_negative",
+        "energy_overflow_validate", "energy_overflow_tracer",
+        "rate_overflow_validate", "rate_overflow_tracer"])
 def test_invalid_config_is_one_line_exit_1(small_cfg, tmp_path, subcommand, section,
                                            key, value, needle):
     cfg = json.loads(small_cfg.read_text())

@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 
 import numpy as np
@@ -185,6 +187,15 @@ def _per_site_tables(kv, gamma, energy):
     return rows, (kv[pos], gamma[pos], energy[pos], kv[pos].astype(float), sqrt_energy)
 
 
+def _full_lattice_tables(kv, gamma, energy):
+    """Lex-sorted tables of every site, rebuilt from the representatives' rows:
+    -k carries the rate of k and the conjugate energy."""
+    k = np.concatenate([kv, -kv])
+    order = np.lexsort(k.T[::-1])
+    return (k[order], np.concatenate([gamma, gamma])[order],
+            np.concatenate([energy, energy.conj()])[order])
+
+
 def _complex_hermitian_model():
     return spectrum_from_tables(2, 2, {
         (1, 0): (1.0, [[2.0, 1j], [-1j, 1.0]]),
@@ -203,15 +214,45 @@ def test_vectorised_build_is_the_per_site_loop(monkeypatch, d, K, projection):
                         lambda *args: inputs.append(args[4:]) or finalize(*args))
     m = (_complex_hermitian_model() if d == "tables" else
          build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0))
-    (kv, gamma, energy), = inputs   # the full per-site tables
-    assert kv.shape[0] == 2 * m.n_pairs
-    rows, tables = _per_site_tables(kv, gamma, energy)
+    (kv, gamma, energy), = inputs   # the representatives' tables
+    assert kv.shape[0] == m.n_pairs
+    rows, tables = _per_site_tables(*_full_lattice_tables(kv, gamma, energy))
     assert m._index == rows
     assert [type(k[0]) for k in m._index] == [int] * len(rows)
     for got, want in zip((m.wavevectors, m.gamma, m.energy, m.k_pos,
                           m.sqrt_energy_pos), tables):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d, K", [(d, K) for d in (1, 2, 3) for K in (1, 3)])
+def test_lattice_is_the_upper_half_of_the_product_lattice(d, K):
+    sites = [k for k in itertools.product(range(-K, K + 1), repeat=d)
+             if k > tuple(-c for c in k)]
+    kv = spectrum._lattice(d, K)
+    assert kv.dtype.kind == "i" and kv.tolist() == [list(k) for k in sites]
+
+
+def test_listed_mirrors_give_the_model_of_their_representatives():
+    alone = _complex_hermitian_model()
+    reps = {tuple(k): (g, e) for k, g, e in
+            zip(alone.wavevectors.tolist(), alone.gamma, alone.energy)}
+    mirrors = {tuple(-c for c in k): (g, e.conj()) for k, (g, e) in reps.items()}
+    for entries in (reps, {**mirrors, **reps}, mirrors):
+        m = spectrum_from_tables(2, 2, entries)
+        assert m._index == alone._index
+        for name in ("wavevectors", "gamma", "energy", "k_pos", "k_norm",
+                     "sqrt_energy_pos", "_weight_m"):
+            got, want = getattr(m, name), getattr(alone, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gamma, energy", [
+    (math.inf, np.eye(2)), (1.0, [[math.nan, 0.0], [0.0, 1.0]])],
+    ids=["gamma_inf", "energy_nan"])
+def test_tables_reject_non_finite_entries(gamma, energy):
+    with pytest.raises(SpectrumError, match=re.escape("at (0, 1) is not finite")):
+        spectrum_from_tables(2, 1, {(1, 0): (1.0, np.eye(2)), (0, 1): (gamma, energy)})
 
 
 def test_covariance_oracle_mirror_is_the_conjugate():
