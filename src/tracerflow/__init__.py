@@ -17,10 +17,10 @@ from .ergodic import (ObservableSpec, ErgodicReport, occupation_fraction,
                       e_property_probe, lln_test, stationary_norm_moment)
 from .chain import (contraction_map, climb_probability, ladder_weights,
                     ladder_survival_limit, exact_distribution,
-                    kernel_power_exact, kernel_power_profile,
-                    kernel_power_closed_form, ChainDistribution, simulate_paths)
+                    kernel_power_profile, kernel_power_closed_form,
+                    simulate_paths)
 from .config import (ExperimentConfig, ConfigError, parse_config,
-                     serialize_config, config_hash, RunManifest)
+                     serialize_config, config_hash)
 from ._ensemble import run_trajectory_ensemble
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,23 +106,6 @@ def ladder_survival_limit(x: float) -> float:
     return math.exp(-(total + tail))
 
 
-@dataclass
-class ChainDistribution:
-    """Finite atomic law; atoms sorted by state value."""
-
-    atoms: list  # [(value, probability)]
-
-    def __post_init__(self):
-        total = sum(p for _, p in self.atoms)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"atom probabilities sum to {total!r}")
-        if any(p < -1e-15 for _, p in self.atoms):
-            raise ValueError("negative atom probability")
-
-    def expectation(self, f) -> float:
-        return math.fsum(p * f(v) for v, p in self.atoms)
-
-
 def _sweep(x: float, n: int, f):
     """Yield (probabilities, f at the atoms) of the law after 0..n steps from x.
 
@@ -181,21 +163,15 @@ def _merge(dest, q, probs, n_states):
     return atoms, mass[atoms]
 
 
-def exact_distribution(x: float, n: int) -> ChainDistribution:
-    """Law of the chain after n steps from x, by forward propagation."""
+def exact_distribution(x: float, n: int) -> list:
+    """Law of the chain after n steps from x, by forward propagation: the
+    atoms as [(value, probability)], sorted by value."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     for probs, values in _sweep(x, n, float):
         pass
     order = np.argsort(values)
-    return ChainDistribution(list(zip(values[order].tolist(), probs[order].tolist())))
-
-
-def kernel_power_exact(x: float, n: int, f) -> float:
-    """Exact E[f(X_n) | X_0 = x] from the full finite reachable tree."""
-    if n > MAX_EXACT_DEPTH:
-        raise ValueError(f"depth {n} exceeds the exact-tree limit {MAX_EXACT_DEPTH}")
-    return exact_distribution(x, n).expectation(f)
+    return list(zip(values[order].tolist(), probs[order].tolist()))
 
 
 def kernel_power_profile(x: float, n_max: int, f) -> np.ndarray:
@@ -217,7 +193,7 @@ def kernel_power_closed_form(x: float, n: int, f) -> float:
     contraction iterate re-enters [1, inf) with steps still to go, this
     keeps iterating deterministically while the kernel would branch, so the
     two evaluators agree only while x + n - 1 < 5; compare with
-    :func:`kernel_power_exact` to see where they part.
+    :func:`kernel_power_profile` to see where they part.
     """
     if x < 1.0:
         raise ValueError("closed form is defined for x >= 1")

@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from ._ensemble import run_trajectory_ensemble
 from ._util import derive_seed
 from .chain import (_paths, kernel_power_closed_form, kernel_power_profile,
                     ladder_weights, default_observable)
-from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
-                     parse_config)
+from .config import ConfigError, ExperimentConfig, config_hash, parse_config
 from .ergodic import (MOMENT_GRID_DT, OBSERVABLE_KINDS, ObservableSpec,
                       e_property_probe, lln_test, moment_scan, stability_probe,
                       stationary_norm_moment, summarize_run)
@@ -54,9 +52,13 @@ def _build_model(cfg: ExperimentConfig, truncation: int | None = None):
                                     m=sp.m, alpha=sp.alpha)
 
 
-def _manifest(cfg: ExperimentConfig, n_runs: int) -> RunManifest:
-    created = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return RunManifest.build(cfg, __version__, n_runs, created)
+def _manifest(cfg: ExperimentConfig, n_runs: int) -> dict:
+    """The run manifest heading every output file."""
+    master = cfg.simulation.seed
+    return {"config_hash": config_hash(cfg), "version": __version__,
+            "master_seed": master,
+            "run_seeds": [derive_seed(master, i) for i in range(n_runs)],
+            "created": datetime.datetime.now(datetime.timezone.utc).isoformat()}
 
 
 def _probe_record(cfg, probe: str, params: dict, estimate, stderr) -> str:
@@ -74,12 +76,13 @@ def _write_lines(path: str, lines) -> None:
         raise ConfigError(f"cannot write output: {exc}") from None
 
 
-def _write_jsonl(path: str, manifest: RunManifest, lines: list[str]) -> None:
-    _write_lines(path, [json.dumps({"manifest": asdict(manifest)}), *lines])
+def _write_jsonl(path: str, manifest: dict, lines: list[str]) -> None:
+    _write_lines(path, [json.dumps({"manifest": manifest}), *lines])
 
 
-def _write_csv(path: str, manifest: RunManifest, columns: list[str], rows) -> None:
-    head = [f"# {line}" for line in manifest.header_lines()] + [",".join(columns)]
+def _write_csv(path: str, manifest: dict, columns: list[str], rows) -> None:
+    head = [f"# {key}={','.join(map(str, value)) if key == 'run_seeds' else value}"
+            for key, value in manifest.items()] + [",".join(columns)]
     _write_lines(path, itertools.chain(head, rows))
 
 

@@ -7,7 +7,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from ._util import derive_seed
 from .chain import MAX_EXACT_DEPTH
 
 
@@ -210,27 +209,3 @@ def config_hash(cfg: ExperimentConfig) -> str:
     digest = hashlib.blake2b(serialize_config(cfg).encode(), digest_size=8)
     return digest.hexdigest()
 
-
-@dataclass
-class RunManifest:
-    config_hash: str
-    version: str
-    master_seed: int
-    run_seeds: list
-    created: str
-
-    @classmethod
-    def build(cls, cfg: ExperimentConfig, version: str, n_runs: int,
-              created: str) -> "RunManifest":
-        master = cfg.simulation.seed
-        return cls(config_hash=config_hash(cfg), version=version,
-                   master_seed=master,
-                   run_seeds=[derive_seed(master, i) for i in range(n_runs)],
-                   created=created)
-
-    def header_lines(self) -> list[str]:
-        return [f"config_hash={self.config_hash}",
-                f"version={self.version}",
-                f"master_seed={self.master_seed}",
-                f"run_seeds={','.join(str(s) for s in self.run_seeds)}",
-                f"created={self.created}"]

@@ -114,6 +114,11 @@ def _reject_first(bad: np.ndarray, message) -> None:
         raise SpectrumError(message(int(hits[0])))
 
 
+def _h1_terms(gamma, k_norm, trace, m: int, alpha: float) -> np.ndarray:
+    """Per-row terms gamma^alpha |k|^{2(m+1)} Tr energy of the regularity sum."""
+    return gamma ** alpha * k_norm ** (2.0 * (m + 1)) * trace
+
+
 def _finalize(d: int, K: int, m: int, alpha: float, kv: np.ndarray,
               gamma: np.ndarray, energy: np.ndarray) -> SpectrumModel:
     """Validate the tables of the pair representatives (lex-sorted) and build
@@ -136,6 +141,14 @@ def _finalize(d: int, K: int, m: int, alpha: float, kv: np.ndarray,
 
     k_pos = kv.astype(float)
     k_norm = np.sqrt((k_pos ** 2).sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):   # a large m overflows
+        weight_m = k_norm ** (2.0 * int(m))
+        h1_terms = _h1_terms(gamma, k_norm, trace, int(m), float(alpha))
+        h1 = 2.0 * h1_terms.sum()
+    _reject_first(~(np.isfinite(weight_m) & np.isfinite(h1_terms)),
+                  lambda i: f"X^m weight or H1 term at {keys[i]} is not finite (m = {m})")
+    if not np.isfinite(h1):
+        raise SpectrumError(f"H1 sum is not finite (m = {m})")
     # Hermitian square roots; tiny negative eigenvalues from projector
     # roundoff are clipped at the PSD floor.
     w, v = np.linalg.eigh(energy)
@@ -145,7 +158,7 @@ def _finalize(d: int, K: int, m: int, alpha: float, kv: np.ndarray,
                          k_norm=k_norm, k_pos=k_pos,
                          sqrt_energy_pos=np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj()),
                          _index=dict(zip(keys, range(len(keys)))),
-                         _weight_m=k_norm ** (2.0 * int(m)))
+                         _weight_m=weight_m)
 
 
 def build_power_law_spectrum(d: int, K: int, sigma0: float, decay_p: float,
@@ -195,6 +208,8 @@ def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
     are listed their entries must agree.  Sites absent from the table do not
     exist in the model (the lattice ball need not be complete).
     """
+    if not entries:
+        raise SpectrumError("the table is empty: a model needs at least one wavevector")
     table, mirrored = {}, {}
     for k, (g, e) in entries.items():
         key = tuple(int(c) for c in k)
@@ -240,8 +255,7 @@ def check_h1(model: SpectrumModel) -> float:
     change when K doubles is the convergence convention used by the CLI).
     """
     tr = np.real(np.trace(model.energy, axis1=1, axis2=2))
-    terms = model.gamma ** model.alpha * model.k_norm ** (2.0 * (model.m + 1)) * tr
-    return 2.0 * float(terms.sum())
+    return 2.0 * float(_h1_terms(model.gamma, model.k_norm, tr, model.m, model.alpha).sum())
 
 
 def check_h2(model: SpectrumModel, t_max: float, quad_steps: int) -> float:

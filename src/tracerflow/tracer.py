@@ -3,8 +3,9 @@
 The tracer solves dx/dt = V(t, x(t)) through the exact-in-law Ornstein-
 Uhlenbeck field.  The observation process (the field seen from the tracer)
 is produced by the exact Fourier shift of the Eulerian field, which carries
-no extra discretization error; the Galerkin stepper in :mod:`field` exists
-for cross-validation of that construction.
+no extra discretization error.  The Galerkin splitting stepper
+:func:`field.ens_observation_step` steps the observation process directly; it
+drives the stability and coupling probes of :mod:`ergodic`.
 """
 
 from __future__ import annotations

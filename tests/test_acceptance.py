@@ -206,11 +206,9 @@ def test_criterion_8_counterexample_chain():
     never_dev = 0.0
     for x in (1.0, 1.5, 2.0):
         stay = ladder_weights(x, 40)[0]
-        atoms = {v: p for v, p in exact_distribution(x, 40).atoms}
         for n in (5, 17, 40):
-            mass = dict(exact_distribution(x, n).atoms).get(x + n, 0.0)
+            mass = dict(exact_distribution(x, n)).get(x + n, 0.0)
             never_dev = max(never_dev, abs(mass - stay[n]))
-        del atoms
     survival_dev = abs(ladder_survival_limit(2.0) - 0.52470)
     # (e) the power-sup gap shrinks monotonically as the start approaches
     base = kernel_power_profile(1.5, 40, f)

@@ -1,4 +1,5 @@
 import copy
+import datetime
 import json
 import math
 import os
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tracerflow import ConfigError, cli, config_hash, parse_config, serialize_config
+from tracerflow import (ConfigError, __version__, cli, config_hash, parse_config,
+                        serialize_config)
 from tracerflow._util import derive_seed
 
 
@@ -27,6 +29,40 @@ def body_of(path):
     if lines and lines[0].startswith("{"):
         return lines[1:]
     return [ln for ln in lines if not ln.startswith("#")]
+
+
+def expected_manifest(cfg_path, n_runs):
+    """Every manifest entry but the creation time, in order."""
+    cfg = parse_config(cfg_path.read_text())
+    master = cfg.simulation.seed
+    return {"config_hash": config_hash(cfg), "version": __version__,
+            "master_seed": master,
+            "run_seeds": [derive_seed(master, i) for i in range(n_runs)]}
+
+
+def assert_created_is_utc(created):
+    assert datetime.datetime.fromisoformat(created).utcoffset() == datetime.timedelta(0)
+
+
+def assert_jsonl_manifest(path, cfg_path, n_runs):
+    with open(path) as fh:
+        manifest = json.loads(fh.readline())["manifest"]
+    want = expected_manifest(cfg_path, n_runs)
+    assert list(manifest) == [*want, "created"]
+    assert_created_is_utc(manifest.pop("created"))
+    assert manifest == want
+
+
+def assert_csv_manifest(path, cfg_path, n_runs):
+    with open(path) as fh:
+        head = [ln for ln in fh.read().splitlines() if ln.startswith("#")]
+    want = expected_manifest(cfg_path, n_runs)
+    assert head[:-1] == [f"# config_hash={want['config_hash']}",
+                         f"# version={want['version']}",
+                         f"# master_seed={want['master_seed']}",
+                         "# run_seeds=" + ",".join(map(str, want["run_seeds"]))]
+    assert head[-1].startswith("# created=")
+    assert_created_is_utc(head[-1].removeprefix("# created="))
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -351,6 +387,7 @@ def test_chain_subcommand_table(small_cfg, tmp_path):
     out = tmp_path / "chain.csv"
     res = run_cli("chain", "--config", str(small_cfg), "--out", str(out))
     assert res.returncode == 0
+    assert_csv_manifest(out, small_cfg, 0)
     lines = body_of(out)
     assert lines[0] == "x,n,closed,exact,mc,mc_stderr,H_n"
     for ln in lines[1:]:
@@ -359,13 +396,21 @@ def test_chain_subcommand_table(small_cfg, tmp_path):
             assert abs(float(closed) - float(exact)) <= 1e-14
 
 
+def test_tracer_manifest_lists_the_run_seeds(small_cfg, tmp_path):
+    cfg = json.loads(small_cfg.read_text())
+    cfg["simulation"]["ensemble"] = 3
+    small_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    assert cli.main(["tracer", "--config", str(small_cfg), "--out", str(out)]) == 0
+    assert_csv_manifest(out, small_cfg, 3)
+    assert_jsonl_manifest(str(out) + ".drift.jsonl", small_cfg, 3)
+
+
 def test_ergodic_subcommand_probe_records(small_cfg, tmp_path):
     out = tmp_path / "erg.jsonl"
     res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
     assert res.returncode == 0
-    with open(out) as fh:
-        first = json.loads(fh.readline())
-    assert "manifest" in first
+    assert_jsonl_manifest(out, small_cfg, 0)
     recs = [json.loads(ln) for ln in body_of(out)]
     assert all(set(r) == {"probe", "params", "estimate", "stderr", "seed",
                           "config_hash"} for r in recs)
@@ -528,12 +573,16 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("tracer", "spectrum", "decay_p", -1000, "is not finite"),
     ("validate", "spectrum", "gamma_power", 2000, "is not finite"),
     ("tracer", "spectrum", "gamma_power", 2000, "is not finite"),
+    ("validate", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
+    ("tracer", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
+    ("ergodic", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
 ], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative",
         "horizon_negative", "ergodic_d1", "decay_d1", "field_d1", "output_section",
         "offsets_string", "offsets_null", "offsets_numeric_string", "offsets_bool",
         "offsets_nan", "offsets_infinity", "horizons_string_second", "radius_negative",
         "energy_overflow_validate", "energy_overflow_tracer",
-        "rate_overflow_validate", "rate_overflow_tracer"])
+        "rate_overflow_validate", "rate_overflow_tracer",
+        "weight_overflow_validate", "weight_overflow_tracer", "weight_overflow_ergodic"])
 def test_invalid_config_is_one_line_exit_1(small_cfg, tmp_path, subcommand, section,
                                            key, value, needle):
     cfg = json.loads(small_cfg.read_text())

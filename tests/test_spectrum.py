@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,24 @@ def test_listed_mirrors_give_the_model_of_their_representatives():
 def test_tables_reject_non_finite_entries(gamma, energy):
     with pytest.raises(SpectrumError, match=re.escape("at (0, 1) is not finite")):
         spectrum_from_tables(2, 1, {(1, 0): (1.0, np.eye(2)), (0, 1): (gamma, energy)})
+
+
+def test_empty_table_is_a_spectrum_error():
+    with pytest.raises(SpectrumError, match="the table is empty"):
+        spectrum_from_tables(2, 1, {})
+
+
+def test_large_m_is_rejected_without_a_numpy_warning():
+    # |k|^(2m) overflows at |k| = 3 for m = 400.  At |k| = 1 the H1 term
+    # gamma^0.5 * Tr = 1e150 * 1e158 is finite, twice it (the sum) is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectrumError, match=re.escape(
+                "X^m weight or H1 term at (0, 3) is not finite (m = 400)")):
+            build_power_law_spectrum(2, 4, 1.0, 14.0, "incompressible", 1.0, 2.0, m=400)
+        with pytest.raises(SpectrumError, match="H1 sum is not finite"):
+            spectrum_from_tables(2, 1, {(1, 0): (1e300, 0.5e158 * np.eye(2))})
+        build_power_law_spectrum(2, 4, 1.0, 14.0, "incompressible", 1.0, 2.0, m=200)
 
 
 def test_covariance_oracle_mirror_is_the_conjugate():
