@@ -47,7 +47,7 @@ def _paths(x0: float, n_steps: int, n_paths: int, seed: int):
     for _ in range(n_steps):
         np.greater_equal(s, 1.0, out=ladder)
         rng.random(out=u)
-        np.maximum(s, 1.0, out=up)    # off the ladder the base is 1; climb is masked below
+        np.clip(s, 1.0, 1e150, out=up)  # 1 off the ladder (masked below); exp(-1/x^2) is 1.0 past the cap
         np.exp(np.divide(-1.0, np.square(up, out=up), out=up), out=up)
         np.logical_and(ladder, np.less(u, up, out=climb), out=climb)
         np.not_equal(ladder, climb, out=fell)
@@ -82,7 +82,8 @@ def ladder_weights(x: float, n: int):
     if n < 0:
         raise ValueError("n must be nonnegative")
     j = np.arange(n, dtype=float)
-    inv_sq = 1.0 / (x + j) ** 2
+    with np.errstate(over="ignore"):   # a square past the float range gives inv_sq = 0
+        inv_sq = 1.0 / (x + j) ** 2
     stay = np.empty(n + 1)
     stay[0] = 1.0
     stay[1:] = np.exp(-np.cumsum(inv_sq))

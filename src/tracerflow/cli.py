@@ -62,10 +62,15 @@ def _manifest(cfg: ExperimentConfig, n_runs: int) -> dict:
 
 
 def _probe_record(cfg, probe: str, params: dict, estimate, stderr) -> str:
+    """One JSONL line; a value that is not finite has no JSON form and fails the run."""
     rec = {"probe": probe, "params": params, "estimate": estimate,
            "stderr": stderr, "seed": cfg.simulation.seed,
            "config_hash": config_hash(cfg)}
-    return json.dumps(rec, sort_keys=True)
+    try:
+        return json.dumps(rec, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericalFailure(f"{probe}: estimate {estimate}, stderr {stderr} or params "
+                               f"{params} is not finite") from None
 
 
 def _write_lines(path: str, lines) -> None:
@@ -136,11 +141,11 @@ def _cmd_field(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _cmd_decay(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    model = _build_model(cfg)
     sim = cfg.simulation
-    rep = modulus_decay_report(model, n_starts=sim.ensemble,
-                               horizon=min(sim.T, 5.0), dt=sim.dt,
-                               seed=sim.seed)
+    if round(min(sim.T, 5.0) / sim.dt) < 1:
+        raise ConfigError(f"simulation.dt: {sim.dt} leaves no step in the decay horizon")
+    rep = modulus_decay_report(_build_model(cfg), n_starts=sim.ensemble,
+                               horizon=min(sim.T, 5.0), dt=sim.dt, seed=sim.seed)
     lines = [_probe_record(cfg, "modulus_decay_rel_error",
                            {"n_starts": rep["n_starts"], "dt": rep["dt"],
                             "horizon": rep["horizon"]},

@@ -17,9 +17,9 @@ import numpy as np
 
 from ._util import derive_seed
 from .spectrum import SpectrumModel
-from .field import (FourierField, ens_norm_m, ens_observation_step, ens_ou_step,
-                    ens_pair_noise, ens_tile, noiseless_flow_step, origin_value,
-                    sample_stationary, sobolev_norm, zero_field)
+from .field import (NumericalFailure, ens_norm_m, ens_observation_step,
+                    ens_ou_step, ens_pair_noise, ens_tile, noiseless_flow_step,
+                    origin_value, sample_stationary, sobolev_norm, zero_field)
 from .tracer import TrajectoryRecord
 
 OBSERVABLE_KINDS = ("bounded_lipschitz_of_norm", "velocity_at_origin",
@@ -62,20 +62,20 @@ class ObservableSpec:
     def on_stacked(self, model: SpectrumModel, cpos: np.ndarray) -> np.ndarray:
         """Evaluate on stacked representative slices (members, n_pairs, d)."""
         if self.kind == "velocity_at_origin":
-            return origin_value(FourierField(model, cpos))[..., self.component]
+            return origin_value(cpos)[..., self.component]
         return self.from_norm(ens_norm_m(model, cpos))
 
 
-def _unit_direction(model: SpectrumModel, rng: np.random.Generator) -> FourierField:
+def _unit_direction(model: SpectrumModel, rng: np.random.Generator) -> np.ndarray:
     """Random X^m-unit perturbation direction; deterministic fallback when the
     model carries no energy to sample from."""
     f = sample_stationary(model, rng)
-    nrm = sobolev_norm(f, model.m)
+    nrm = sobolev_norm(model, f, model.m)
     if nrm > 0.0:
-        return FourierField(f.model, f.coeffs / nrm)
+        return f / nrm
     f = zero_field(model)
-    f.coeffs[0, 0] = 1.0
-    return FourierField(model, f.coeffs / sobolev_norm(f, model.m))
+    f[0, 0] = 1.0
+    return f / sobolev_norm(model, f, model.m)
 
 
 def _trapezoid_mean(series: np.ndarray, times: np.ndarray):
@@ -149,7 +149,7 @@ def stationary_norm_moment(model: SpectrumModel, n: int) -> float:
     n=1: S2 = sum_k |k|^{2m} Tr energy(k) over all sites.
     n=2: S2^2 + 2 sum_k |k|^{4m} Tr(energy(k)^2), from the chi-square
     structure of independent circular Gaussian conjugate pairs.
-    Each site sum is twice the sum over the pair rows.
+    Each site sum is twice the sum over the pair rows; past the float range the moment is inf.
     """
     w = model.sobolev_weight(model.m)
     tr = np.real(np.trace(model.energy, axis1=1, axis2=2))
@@ -159,7 +159,10 @@ def stationary_norm_moment(model: SpectrumModel, n: int) -> float:
     if n == 2:
         tr_sq = np.real(np.trace(np.einsum("kij,kjl->kil", model.energy,
                                            model.energy), axis1=1, axis2=2))
-        return s2 ** 2 + 4.0 * float((w ** 2 * tr_sq).sum())
+        try:
+            return s2 ** 2 + 4.0 * float((w ** 2 * tr_sq).sum())
+        except OverflowError:
+            return math.inf
     raise ValueError("closed form implemented for n in {1, 2} only")
 
 
@@ -195,18 +198,18 @@ def moment_scan(model: SpectrumModel, R: float, n: int, T: float,
         raise ValueError(f"horizon T={T} rounds to no grid step of {grid_dt}")
     rng = np.random.default_rng(seed)
     direction = sample_stationary(model, rng)
-    nrm = sobolev_norm(direction, model.m)
+    nrm = sobolev_norm(model, direction, model.m)
     if R > 0.0 and nrm == 0.0:
         raise ValueError("cannot scale a zero direction to positive radius")
-    start = direction.coeffs * (R / nrm) if R > 0.0 and nrm > 0.0 else \
-        np.zeros_like(direction.coeffs)
+    start = direction * (R / nrm) if R > 0.0 and nrm > 0.0 else np.zeros_like(direction)
     cpos = np.tile(start[None], (ensemble, 1, 1))
     times = np.arange(n_steps + 1) * grid_dt
     means = np.empty(n_steps + 1)
-    means[0] = float((ens_norm_m(model, cpos) ** (2 * n)).mean())
-    for i in range(1, n_steps + 1):
-        cpos = ens_ou_step(model, cpos, grid_dt, rng)
-        means[i] = float((ens_norm_m(model, cpos) ** (2 * n)).mean())
+    with np.errstate(over="ignore"):   # a moment past the float range reads inf
+        means[0] = float((ens_norm_m(model, cpos) ** (2 * n)).mean())
+        for i in range(1, n_steps + 1):
+            cpos = ens_ou_step(model, cpos, grid_dt, rng)
+            means[i] = float((ens_norm_m(model, cpos) ** (2 * n)).mean())
     settled = means[times >= T / 2.0]
     try:
         stat = stationary_norm_moment(model, n)
@@ -239,17 +242,16 @@ def stability_probe(model: SpectrumModel, eps: float, T: float, ensemble: int,
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
-    x = zero_field(model)
+    x = y = zero_field(model)
     n_steps = int(round(T / dt))
-    y = x
     for _ in range(n_steps):
-        y = noiseless_flow_step(y, dt)
+        y = noiseless_flow_step(model, y, dt)
     cpos = ens_tile(x, ensemble)
     scale = model.noise_scale(dt)
     for _ in range(n_steps):
         noise = ens_pair_noise(model, rng, scale, ensemble)
         ens_observation_step(model, cpos, dt, noise, out=cpos)
-    dist = ens_norm_m(model, cpos - y.coeffs)
+    dist = ens_norm_m(model, cpos - y)
     hits = (dist < eps).astype(float)
     p = float(hits.mean())
     horizon, sq = n_steps * dt, dist ** 2
@@ -257,7 +259,11 @@ def stability_probe(model: SpectrumModel, eps: float, T: float, ensemble: int,
     # the sum over all sites is twice the sum over the pair rows
     closed = 2.0 * float((model.sobolev_weight(model.m) * trace
                           * -np.expm1(-2.0 * model.gamma * horizon)).sum())
-    mean, se = float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(ensemble))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se = float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(ensemble))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NumericalFailure(f"stability_probe: the mean square distance {mean} "
+                               f"or its standard error {se} is not finite")
     # no spread means no noise, and then Z_T = 0 = the closed form
     z = (mean - closed) / se if se > 0.0 else 0.0
     return StabilityReport(probability=p,
@@ -301,7 +307,7 @@ def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
     for oi, h in enumerate(offsets):
         pair_rng = np.random.default_rng(derive_seed(seed, oi + 1))
         a = ens_tile(x, ensemble)
-        b = ens_tile(FourierField(model, x.coeffs + h * direction.coeffs), ensemble)
+        b = ens_tile(x + h * direction, ensemble)
         diff0 = psi.on_stacked(model, b) - psi.on_stacked(model, a)
         best_gap = abs(float(diff0.mean()))
         best_se = float(diff0.std(ddof=1) / math.sqrt(ensemble))

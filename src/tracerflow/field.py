@@ -5,11 +5,12 @@ the sites of a :class:`~tracerflow.spectrum.SpectrumModel` (which has no k = 0
 site) is stored as one coefficient per conjugate pair: the representatives
 c(k) at k = model.k_pos.  The mirrors are implied, so fields are real by
 construction and a sum over all sites is 2 Re of the representative sum.
-Every kernel takes coefficients of shape (..., n_pairs, d), one field or a
-stack of members.  The module provides the Sobolev norms, the decay
-semigroup, exact Ornstein-Uhlenbeck stepping (one step equals the continuous
-transition kernel in law, for any step size), the noiseless observation
-flow and the Galerkin splitting step for the noisy observation process.
+A field is its coefficient array, of shape (..., n_pairs, d): one field or a
+stack of members, and every kernel takes (model, coeffs).  The module
+provides the Sobolev norms, exact Ornstein-Uhlenbeck stepping (one step
+equals the continuous transition kernel in law, for any step size; the decay
+semigroup alone is model.decay), the noiseless observation flow and the
+Galerkin splitting step for the noisy observation process.
 
 Stiff handling: per mode the linear part contributes an exact factor
 exp(-gamma(k) dt), so the Runge-Kutta stages here act on the integrating-
@@ -19,8 +20,6 @@ phase-stage drift, which is what the decay diagnostics rely on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +34,8 @@ class NumericalFailure(RuntimeError):
     """Non-finite state detected during time stepping."""
 
 
-@dataclass
-class FourierField:
-    """Real vector field: row p of coeffs is c(k) at k = model.k_pos[p], the
-    mirror c(-k) = conj(c(k)) is implied; leading axes index members."""
-
-    model: SpectrumModel
-    coeffs: np.ndarray  # (..., n_pairs, d) complex
-
-
-def zero_field(model: SpectrumModel) -> FourierField:
-    return FourierField(model, np.zeros((model.n_pairs, model.dimension), dtype=complex))
+def zero_field(model: SpectrumModel) -> np.ndarray:
+    return np.zeros((model.n_pairs, model.dimension), dtype=complex)
 
 
 def _check_finite(coeffs: np.ndarray, what: str) -> None:
@@ -59,22 +49,14 @@ def _norm(model: SpectrumModel, coeffs: np.ndarray, r: float) -> np.ndarray:
     return np.sqrt(2.0 * ((np.abs(coeffs) ** 2).sum(axis=-1) * w).sum(axis=-1))
 
 
-def sobolev_norm(f: FourierField, r: float) -> float | np.ndarray:
-    """X^r norm: sqrt(sum_k |k|^{2r} |c(k)|^2) over every lattice site (one
-    value per member of a stacked field)."""
-    return _norm(f.model, f.coeffs, r)
+def sobolev_norm(model: SpectrumModel, coeffs: np.ndarray, r: float) -> float | np.ndarray:
+    """X^r norm sqrt(sum_k |k|^{2r} |c(k)|^2) over every lattice site, one per member."""
+    return _norm(model, coeffs, r)
 
 
-def apply_semigroup(f: FourierField, t: float) -> FourierField:
-    """Decay semigroup: mode k multiplied by exp(-gamma(k) t)."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    return FourierField(f.model, f.coeffs * f.model.decay(t)[:, None])
-
-
-def origin_value(f: FourierField) -> np.ndarray:
+def origin_value(coeffs: np.ndarray) -> np.ndarray:
     """Field value at xi = 0 (all phases are 1): 2 Re of the representative sum."""
-    return 2.0 * np.einsum("...pd->...d", f.coeffs.real)
+    return 2.0 * np.einsum("...pd->...d", coeffs.real)
 
 
 def _eval(coeffs: np.ndarray, k: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -82,13 +64,13 @@ def _eval(coeffs: np.ndarray, k: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return 2.0 * (np.exp(1j * (k @ xi)) @ coeffs).real
 
 
-def evaluate(f: FourierField, xi) -> np.ndarray:
+def evaluate(model: SpectrumModel, coeffs: np.ndarray, xi) -> np.ndarray:
     """Trigonometric synthesis of the field at xi.
 
     Exact at off-grid points; cost O(n_pairs).  The sum runs over the
     representatives and takes twice its real part, so the value is real.
     """
-    return _eval(f.coeffs, f.model.k_pos, np.asarray(xi, dtype=float))
+    return _eval(coeffs, model.k_pos, np.asarray(xi, dtype=float))
 
 
 def _pair_draw(model: SpectrumModel, rng: np.random.Generator,
@@ -122,9 +104,9 @@ def pair_noise(model: SpectrumModel, rng: np.random.Generator,
     return _pair_draw(model, rng, scale, lead_shape)
 
 
-def sample_stationary(model: SpectrumModel, rng: np.random.Generator) -> FourierField:
+def sample_stationary(model: SpectrumModel, rng: np.random.Generator) -> np.ndarray:
     """Draw from the invariant law: per-pair circular Gaussian with second moment energy(k)."""
-    return FourierField(model, pair_noise(model, rng))
+    return pair_noise(model, rng)
 
 
 def _ou(model: SpectrumModel, coeffs: np.ndarray, dt: float,
@@ -134,7 +116,8 @@ def _ou(model: SpectrumModel, coeffs: np.ndarray, dt: float,
     return new
 
 
-def ou_exact_step(f: FourierField, dt: float, rng: np.random.Generator) -> FourierField:
+def ou_exact_step(model: SpectrumModel, coeffs: np.ndarray, dt: float,
+                  rng: np.random.Generator) -> np.ndarray:
     """Advance the Ornstein-Uhlenbeck field by dt, exactly in law.
 
     c(k) <- exp(-gamma dt) c(k) + eta(k), with eta circular complex Gaussian
@@ -143,9 +126,8 @@ def ou_exact_step(f: FourierField, dt: float, rng: np.random.Generator) -> Fouri
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    m = f.model
-    noise = pair_noise(m, rng, m.noise_scale(dt), f.coeffs.shape[:-2])
-    return FourierField(m, _ou(m, f.coeffs, dt, noise))
+    noise = pair_noise(model, rng, model.noise_scale(dt), coeffs.shape[:-2])
+    return _ou(model, coeffs, dt, noise)
 
 
 def covariance_oracle(model: SpectrumModel, h: float, k) -> np.ndarray:
@@ -158,7 +140,7 @@ def covariance_oracle(model: SpectrumModel, h: float, k) -> np.ndarray:
     return cov.conj() if mirrored else cov
 
 
-def noiseless_flow_step(f: FourierField, dt: float) -> FourierField:
+def noiseless_flow_step(model: SpectrumModel, coeffs: np.ndarray, dt: float) -> np.ndarray:
     """One step of the noiseless observation flow c' = (-gamma + i u(t).k) c.
 
     u(t) is the field value at the origin, so the system is coupled through
@@ -169,23 +151,21 @@ def noiseless_flow_step(f: FourierField, dt: float) -> FourierField:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    m = f.model
-    kt = m.k_pos.T
-    e_half = m.decay(dt / 2.0)
-    e_full = m.decay(dt)
-    w0 = f.coeffs
+    kt = model.k_pos.T
+    e_half = model.decay(dt / 2.0)
+    e_full = model.decay(dt)
 
     def rhs(w, decay):
         u = 2.0 * np.einsum("p,...pd->...d", decay, w.real)
         return (1j * (u @ kt))[..., None] * w
 
-    k1 = rhs(w0, m.decay(0.0))
-    k2 = rhs(w0 + (0.5 * dt) * k1, e_half)
-    k3 = rhs(w0 + (0.5 * dt) * k2, e_half)
-    k4 = rhs(w0 + dt * k3, e_full)
-    out = (w0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * e_full[:, None]
+    k1 = rhs(coeffs, model.decay(0.0))
+    k2 = rhs(coeffs + (0.5 * dt) * k1, e_half)
+    k3 = rhs(coeffs + (0.5 * dt) * k2, e_half)
+    k4 = rhs(coeffs + dt * k3, e_full)
+    out = (coeffs + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * e_full[:, None]
     _check_finite(out, "noiseless_flow_step")
-    return FourierField(m, out)
+    return out
 
 
 def _phase_factor(phase: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -198,35 +178,33 @@ def _phase_factor(phase: np.ndarray, decay: np.ndarray) -> np.ndarray:
 
 
 def ens_observation_step(model: SpectrumModel, cpos: np.ndarray, dt: float,
-                         noise: np.ndarray | None,
-                         out: np.ndarray | None = None) -> np.ndarray:
+                         noise: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Galerkin splitting step for the noisy observation process on
     coefficients (..., n_pairs, d): multiply mode k by exp((-gamma(k) + i u.k) dt)
     with u, the origin value, frozen at the step start (weak order 1), then
-    add the exact Ornstein-Uhlenbeck increment noise (None: the deterministic
-    substep alone).  The result goes to out (a new array when None), which
-    may be cpos itself: the origin value is taken before anything is written.
+    add the exact Ornstein-Uhlenbeck increment noise.  The result goes to out
+    (a new array when None), which may be cpos itself: the origin value is
+    taken before anything is written.
     """
-    u = origin_value(FourierField(model, cpos))             # (..., d)
+    u = origin_value(cpos)                                  # (..., d)
     phase = (u @ model.k_pos.T) * dt                        # (..., n_pairs)
     factor = _phase_factor(phase, model.decay(dt))
     if out is None:
         out = np.empty(cpos.shape, dtype=complex)
     for i in range(cpos.shape[-1]):   # bitwise cpos * factor[..., None]
         np.multiply(cpos[..., i], factor, out=out[..., i])
-    if noise is not None:
-        out += noise
+    out += noise
     _check_finite(out.view(float), "an observation step")
     return out
 
 
 # ---------------------------------------------------------------------------
-# Entry points on bare (members, n_pairs, d) stacks for the probe modules; they
+# Entry points on (members, n_pairs, d) stacks for the probe modules; they
 # share the kernels above, and ens_pair_noise draws as pair_noise does.
 
-def ens_tile(f: FourierField, n: int) -> np.ndarray:
-    """Stack n copies of the coefficients of f."""
-    return np.tile(f.coeffs[None], (n, 1, 1))
+def ens_tile(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Stack n copies of one field's coefficients."""
+    return np.tile(coeffs[None], (n, 1, 1))
 
 
 def ens_norm_m(model: SpectrumModel, cpos: np.ndarray) -> np.ndarray:
@@ -260,17 +238,16 @@ def modulus_decay_report(model: SpectrumModel, n_starts: int, horizon: float,
     stride = max(1, n_steps // _DECAY_CHECKPOINTS)
     gstar = float(model.gamma.min())
     w = ens_pair_noise(model, rng, None, n_starts)
-    f = FourierField(model, w / ens_norm_m(model, w)[:, None, None])   # unit X^m norm starts
-    mod0 = np.abs(f.coeffs)
+    w = w / ens_norm_m(model, w)[:, None, None]   # unit X^m norm starts
+    mod0 = np.abs(w)
 
     worst_rel = 0.0
     worst_norm_excess = -np.inf
     for step in range(1, n_steps + 1):
-        f = noiseless_flow_step(f, dt)
+        w = noiseless_flow_step(model, w, dt)
         if step % stride and step != n_steps:
             continue
         t = step * dt
-        w = f.coeffs
         oracle = mod0 * np.exp(-model.gamma * t)[None, :, None]
         mask = oracle > 1e-290
         if mask.any():
@@ -303,12 +280,13 @@ def ou_covariance_report(model: SpectrumModel, ensemble: int, lags: tuple,
         return (a[:, i, :, None] * b[:, i, None, :].conj()).mean(axis=0)
 
     eq_err, pseudo = [], []
-    for i in sel:
-        cov = site_cov(cpos0, cpos0, i)
-        eq_err.append(float(np.linalg.norm(cov - model.energy[i]) /
-                            np.linalg.norm(model.energy[i])))
-        pc = (cpos0[:, i, :, None] * cpos0[:, i, None, :]).mean(axis=0)
-        pseudo.append(float(np.linalg.norm(pc)))
+    with np.errstate(over="ignore", invalid="ignore"):   # past the float range: inf or nan
+        for i in sel:
+            cov = site_cov(cpos0, cpos0, i)
+            eq_err.append(float(np.linalg.norm(cov - model.energy[i]) /
+                                np.linalg.norm(model.energy[i])))
+            pc = (cpos0[:, i, :, None] * cpos0[:, i, None, :]).mean(axis=0)
+            pseudo.append(float(np.linalg.norm(pc)))
     lag_err = {}
     for h in lags:
         shifted = ens_ou_step(model, cpos0, float(h), rng)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import SpectrumModel
-from .field import (FourierField, NumericalFailure, _eval, evaluate,
-                    ou_exact_step, sample_stationary, sobolev_norm)
+from .field import (NumericalFailure, _eval, evaluate, ou_exact_step,
+                    sample_stationary, sobolev_norm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,18 +66,18 @@ def wrap_torus(x: np.ndarray) -> np.ndarray:
     return np.mod(x, TWO_PI)
 
 
-def shift_field(f: FourierField, a) -> FourierField:
+def shift_field(model: SpectrumModel, coeffs: np.ndarray, a) -> np.ndarray:
     """Recentre the field at a: coefficient at k multiplied by e^{i k.a}.
 
     Unit-modulus multipliers, so every X^r norm is preserved exactly.
     """
     a = np.asarray(a, dtype=float)
-    mult = np.exp(1j * (f.model.k_pos @ a))
-    return FourierField(f.model, f.coeffs * mult[:, None])
+    mult = np.exp(1j * (model.k_pos @ a))
+    return coeffs * mult[:, None]
 
 
-def advect_step(tracer: TracerState, field: FourierField, dt: float,
-                rng: np.random.Generator) -> tuple[TracerState, FourierField]:
+def advect_step(tracer: TracerState, model: SpectrumModel, coeffs: np.ndarray,
+                dt: float, rng: np.random.Generator) -> tuple[TracerState, np.ndarray]:
     """One coupled step: field advanced by two exact half-steps, tracer by RK4.
 
     The field snapshots at t, t+dt/2, t+dt feed the four Runge-Kutta stages
@@ -85,15 +85,14 @@ def advect_step(tracer: TracerState, field: FourierField, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    k = field.model.k_pos
-    half = ou_exact_step(field, dt / 2.0, rng)
-    full = ou_exact_step(half, dt / 2.0, rng)
-    c0, ch, c1 = field.coeffs, half.coeffs, full.coeffs
+    k = model.k_pos
+    half = ou_exact_step(model, coeffs, dt / 2.0, rng)
+    full = ou_exact_step(model, half, dt / 2.0, rng)
     x = tracer.position
-    k1 = _eval(c0, k, x)
-    k2 = _eval(ch, k, wrap_torus(x + (0.5 * dt) * k1))
-    k3 = _eval(ch, k, wrap_torus(x + (0.5 * dt) * k2))
-    k4 = _eval(c1, k, wrap_torus(x + dt * k3))
+    k1 = _eval(coeffs, k, x)
+    k2 = _eval(half, k, wrap_torus(x + (0.5 * dt) * k1))
+    k3 = _eval(half, k, wrap_torus(x + (0.5 * dt) * k2))
+    k4 = _eval(full, k, wrap_torus(x + dt * k3))
     delta = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("non-finite tracer increment")
@@ -135,13 +134,13 @@ def run_lagrangian(model: SpectrumModel, T: float, dt: float,
         times[j] = step * dt
         positions[j] = tracer.position
         displacements[j] = tracer.displacement
-        velocities[j] = evaluate(field, tracer.position)
-        norms[j] = sobolev_norm(shift_field(field, tracer.position), model.m)
+        velocities[j] = evaluate(model, field, tracer.position)
+        norms[j] = sobolev_norm(model, shift_field(model, field, tracer.position), model.m)
 
     record(0, 0)
     j = 1
     for step in range(1, n_steps + 1):
-        tracer, field = advect_step(tracer, field, dt, rng)
+        tracer, field = advect_step(tracer, model, field, dt, rng)
         if j < n_rec and step == rec_idx[j]:
             record(j, step)
             j += 1

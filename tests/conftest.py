@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from tracerflow import FourierField, build_power_law_spectrum, spectrum_from_tables
+from tracerflow import build_power_law_spectrum, spectrum_from_tables
 
 ACCEPTANCE_LINES = []
 
@@ -60,11 +60,11 @@ def pair_row(model, k) -> int:
 
 
 def pair_field(model, k, coeff):
-    """Field with coefficient `coeff` at k and the conjugate at -k."""
+    """Coefficients of the field with `coeff` at k and the conjugate at -k."""
     c = np.zeros((model.n_pairs, model.dimension), dtype=complex)
     row, mirrored = model._lookup(k)
     c[row] = np.conj(coeff) if mirrored else coeff
-    return FourierField(model, c)
+    return c
 
 
 def full_sites(model):

@@ -92,12 +92,12 @@ def test_criterion_3_equality_in_law(model_k4):
     rec = run_lagrangian(m, T=2.0, dt=0.01, record_every=4, seed=MASTER_SEED + 2)
     rng = np.random.default_rng(MASTER_SEED + 2)
     f = sample_stationary(m, rng)
-    replay = [sobolev_norm(f, m.m)]
+    replay = [sobolev_norm(m, f, m.m)]
     for step in range(1, 201):
-        f = ou_exact_step(f, 0.005, rng)
-        f = ou_exact_step(f, 0.005, rng)
+        f = ou_exact_step(m, f, 0.005, rng)
+        f = ou_exact_step(m, f, 0.005, rng)
         if step % 4 == 0 or step == 200:
-            replay.append(sobolev_norm(f, m.m))
+            replay.append(sobolev_norm(m, f, m.m))
     pathwise = float(np.abs(rec.field_norms - np.asarray(replay)).max() /
                      np.abs(replay).max())
 

@@ -56,6 +56,19 @@ def test_ladder_weights_telescope(x):
         assert abs(exit_[:n].sum() + stay[n] - 1.0) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1.5e154, 1e200])
+def test_huge_start_climbs_surely_without_numpy_warnings(x):
+    # (x + j)^2 overflows; exp(-1/x^2) is exactly 1.0 either way
+    stay, exit_ = ladder_weights(x, 5)
+    assert stay.tolist() == [1.0] * 6 and exit_.tolist() == [0.0] * 5
+    final, ever_fell, _ = simulate_paths(x, 5, 100, seed=3)
+    assert not ever_fell.any()
+    with np.errstate(over="ignore"):
+        want = _where_paths(x, 5, 100, seed=3)[0]
+    assert final.tobytes() == want.tobytes()
+
+
 def test_survival_limit_closed_values():
     assert ladder_survival_limit(1.0) == pytest.approx(math.exp(-math.pi ** 2 / 6),
                                                        abs=1e-12)

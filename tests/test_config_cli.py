@@ -603,9 +603,15 @@ TINY = {"spectrum": {"dimension": 2, "truncation": 2},
                   "chain_x": [1.0, 1.5], "chain_n_max": 4, "mc_paths": 50}}
 
 
+# float fields whose size sets no amount of work, so a huge value ends quickly
+HUGE = 1e160
+HUGE_FIELDS = {"sigma0", "gamma_coeff", "R", "eps", "delta", "offsets", "chain_x"}
+
+
 def _single_field_mutations():
     """Every numeric config field flipped in sign, zeroed, or (lists) reversed
-    or with a non-numeric or non-finite last entry, and the dimension set to 1."""
+    or with a non-numeric or non-finite last entry, the dimension set to 1, and
+    each of HUGE_FIELDS (lists: the last entry) set to HUGE."""
     out = [(("spectrum", "dimension"), 1)]
     for section, fields in asdict(parse_config(json.dumps(TINY))).items():
         for key, v in fields.items():
@@ -618,8 +624,14 @@ def _single_field_mutations():
                 values = [-v, 0 * v]
             else:
                 continue
+            if key in HUGE_FIELDS:
+                values.append([*v[:-1], HUGE] if isinstance(v, list) else HUGE)
             out += [((section, key), value) for value in values]
     return out
+
+
+def _no_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @settings(max_examples=100, deadline=None)
@@ -630,6 +642,8 @@ def _single_field_mutations():
 @example(mutation=(("probe", "horizons"), [0.0, 0.0]))
 @example(mutation=(("spectrum", "dimension"), 1))
 @example(mutation=(("probe", "offsets"), [0.5, "x"]))
+@example(mutation=(("probe", "R"), HUGE))
+@example(mutation=(("spectrum", "sigma0"), HUGE))
 def test_cli_keeps_its_exit_codes_under_single_field_mutations(mutation):
     (section, key), value = mutation
     cfg = copy.deepcopy(TINY)
@@ -639,5 +653,56 @@ def test_cli_keeps_its_exit_codes_under_single_field_mutations(mutation):
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         for sub in cli.SUBCOMMANDS:
-            code = cli.main([sub, "--config", path, "--out", os.path.join(tmp, sub)])
+            out = os.path.join(tmp, sub)
+            code = cli.main([sub, "--config", path, "--out", out])
             assert code in (0, 1, 2, 3), (sub, code)
+            jsonl = {"tracer": out + ".drift.jsonl", "chain": None}.get(sub, out)
+            if jsonl is not None and os.path.exists(jsonl):
+                with open(jsonl) as fh:
+                    for line in fh:
+                        json.loads(line, parse_constant=_no_json_constant)
+
+
+# ---------------------------------------------------------------- huge magnitudes
+
+def run_tiny(tmp_path, subcommand, **sections):
+    cfg = copy.deepcopy(TINY)
+    for section, values in sections.items():
+        cfg[section].update(values)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    return run_cli(subcommand, "--config", str(path), "--out", str(out)), out
+
+
+@pytest.mark.parametrize("subcommand, sections, probe", [
+    ("ergodic", {"probe": {"R": HUGE}}, "moment_scan"),
+    ("field", {"spectrum": {"sigma0": HUGE}}, "ou_eqtime_covariance"),
+    ("ergodic", {"spectrum": {"sigma0": HUGE}}, "stability_probe"),
+    ("ergodic", {"spectrum": {"sigma0": HUGE}, "probe": {"n": 2}}, "moment_scan"),
+], ids=["moment_radius", "field_energy", "stability_energy", "moment_energy_n2"])
+def test_statistic_past_the_float_range_is_exit_2(tmp_path, subcommand, sections, probe):
+    # no Infinity or NaN reaches the JSONL output, and no traceback or numpy
+    # warning reaches stderr: one line names the probe
+    res, out = run_tiny(tmp_path, subcommand, **sections)
+    assert res.returncode == 2, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert res.stderr.startswith(f"numerical failure: {probe}: "), res.stderr
+    assert not out.exists()
+
+
+def test_decay_step_longer_than_the_horizon_is_exit_1(tmp_path):
+    # min(T, 5) rounds to no step of dt, which left the contraction slack at -inf
+    res, out = run_tiny(tmp_path, "decay", simulation={"dt": 20.0, "T": 20.0})
+    assert_one_line_exit_1(res, "simulation.dt", "20.0")
+    assert not out.exists()
+
+
+def test_huge_chain_start_climbs_surely_without_numpy_warnings(tmp_path):
+    res, out = run_tiny(tmp_path, "chain", probe={"chain_x": [1e200]})
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    header, *rows = body_of(out)
+    assert header.split(",")[-1] == "H_n"
+    assert len(rows) == TINY["probe"]["chain_n_max"]
+    assert all(float(row.split(",")[-1]) == 1.0 for row in rows)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tracerflow import (FourierField, ObservableSpec, TrajectoryRecord,
+from tracerflow import (NumericalFailure, ObservableSpec, TrajectoryRecord,
                         build_power_law_spectrum, e_property_probe, lln_test,
                         moment_scan, occupation_fraction, run_lagrangian,
                         run_trajectory_ensemble, stability_probe,
@@ -114,6 +114,17 @@ def test_moment_scan_decays_monotonically_from_large_start(default_model):
 def test_moment_closed_form_limited_to_low_orders(default_model):
     with pytest.raises(ValueError):
         stationary_norm_moment(default_model, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_moments_past_the_float_range_are_inf_and_fail_the_stability_probe():
+    # E||V||^4 ~ 1e320 has no float; the probe's squared distances overflow in
+    # the standard error, which must not read as z = 0, a perfect match
+    m = build_power_law_spectrum(2, 2, 1e160, 14.0, "incompressible", 1.0, 2.0)
+    assert math.isfinite(stationary_norm_moment(m, 1))
+    assert stationary_norm_moment(m, 2) == math.inf
+    with pytest.raises(NumericalFailure, match="stability_probe"):
+        stability_probe(m, eps=1.0, T=0.2, ensemble=4, seed=3, dt=0.05)
 
 
 # ---------------------------------------------------------------- stability
@@ -274,8 +285,7 @@ def _allocating_observation_step(model, cpos, dt, noise):
     u = 2.0 * cpos.real.sum(axis=-2)
     phase = (u @ model.k_pos.T) * dt
     out = cpos * _phase_factor(phase, model.decay(dt))[:, :, None]
-    if noise is not None:
-        out += noise
+    out += noise
     return out
 
 
@@ -300,7 +310,7 @@ def _allocating_coupling(model, offsets, psi, T, ensemble, seed, dt, stride):
     for oi, h in enumerate(offsets):
         pair_rng = np.random.default_rng(derive_seed(seed, oi + 1))
         a = ens_tile(zero_field(model), ensemble)
-        b = ens_tile(FourierField(model, h * direction.coeffs), ensemble)
+        b = ens_tile(h * direction, ensemble)
         diff0 = psi.on_stacked(model, b) - psi.on_stacked(model, a)
         best_gap = abs(float(diff0.mean()))
         best_se = float(diff0.std(ddof=1) / math.sqrt(ensemble))

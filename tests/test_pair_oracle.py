@@ -12,8 +12,8 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tracerflow import (FourierField, apply_semigroup, evaluate, noiseless_flow_step,
-                        origin_value, shift_field, sobolev_norm)
+from tracerflow import (evaluate, noiseless_flow_step, origin_value, shift_field,
+                        sobolev_norm)
 from tracerflow.field import _ou, ens_observation_step
 from conftest import full_sites, model_of_dimension
 
@@ -97,19 +97,18 @@ def test_measures_agree_with_the_full_table_sums(d, lead, seed):
     rng = np.random.default_rng(seed)
     c = unit_mass_slice(m, lead, rng)
     full = full_table(m, c)
-    f = FourierField(m, c)
 
     xi = rng.uniform(0.0, 2.0 * math.pi, d)
-    value = evaluate(f, xi)
+    value = evaluate(m, c, xi)
     want_value = oracle_value(m, full, xi)
     assert value.shape == want_value.shape
     assert_close(value, want_value, np.abs(full).sum(axis=-2))
 
     for r in (0.0, 1.0, float(m.m)):
         want = oracle_norm_sq(m, full, r)
-        assert_close(sobolev_norm(f, r) ** 2, want, want)
+        assert_close(sobolev_norm(m, c, r) ** 2, want, want)
 
-    assert_close(origin_value(f), oracle_origin(full), np.abs(full.real).sum(axis=-2))
+    assert_close(origin_value(c), oracle_origin(full), np.abs(full.real).sum(axis=-2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,16 +120,15 @@ def test_steps_agree_with_the_full_table_steps(d, lead, seed, dt):
     rng = np.random.default_rng(seed)
     c = unit_mass_slice(m, lead, rng)
     full = full_table(m, c)
-    f = FourierField(m, c)
     mass = np.abs(full).sum(axis=(-2, -1))[..., None, None]
 
     a = rng.uniform(0.0, 2.0 * math.pi, d)
-    assert_close(full_table(m, shift_field(f, a).coeffs), oracle_shift(m, full, a),
+    assert_close(full_table(m, shift_field(m, c, a)), oracle_shift(m, full, a),
                  np.abs(full))
     decayed = full * site_decay(m, dt)[:, None]
-    assert_close(full_table(m, apply_semigroup(f, dt).coeffs), decayed, np.abs(full))
+    assert_close(full_table(m, c * m.decay(dt)[:, None]), decayed, np.abs(full))
     assert_close(full_table(m, _ou(m, c, dt, np.zeros_like(c))), decayed, np.abs(full))
-    assert_close(full_table(m, ens_observation_step(m, c, dt, None)),
+    assert_close(full_table(m, ens_observation_step(m, c, dt, np.zeros_like(c))),
                  oracle_observation(m, full, dt), mass)
-    assert_close(full_table(m, noiseless_flow_step(f, dt).coeffs),
+    assert_close(full_table(m, noiseless_flow_step(m, c, dt)),
                  oracle_noiseless(m, full, dt), mass)
