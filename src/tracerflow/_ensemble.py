@@ -1,15 +1,24 @@
 """Reproducible parallel map over tracer runs.
 
-Per-run seeds are derived from the master seed by a counter-based mix, so
-results do not depend on the worker count or scheduling order; outputs are
-gathered by run index.
+Run i draws from child i of the master seed's ``SeedSequence``, so results
+do not depend on the worker count or scheduling order; outputs are gathered
+by run index.
 """
 
 from __future__ import annotations
 
-from ._util import derive_seed
+import numpy as np
+
 from .spectrum import SpectrumModel
 from .tracer import TrajectoryRecord, run_lagrangian
+
+
+def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
+    """Children 0..n-1 of seed's SeedSequence, keyed (*key, i); .spawn() would
+    count them, so that a second call gave other streams."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i))
+            for i in range(n)]
 
 
 def _one_run(args) -> TrajectoryRecord:
@@ -20,8 +29,7 @@ def _one_run(args) -> TrajectoryRecord:
 def run_trajectory_ensemble(model: SpectrumModel, T: float, dt: float,
                             record_every: int, master_seed: int, n_runs: int,
                             threads: int = 1) -> list[TrajectoryRecord]:
-    jobs = [(model, T, dt, record_every, derive_seed(master_seed, i))
-            for i in range(n_runs)]
+    jobs = [(model, T, dt, record_every, seed) for seed in child_seeds(master_seed, n_runs)]
     if threads <= 1 or n_runs == 1:
         return [_one_run(j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor   # only a pool pays its import

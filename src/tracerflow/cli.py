@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from ._ensemble import run_trajectory_ensemble
-from ._util import derive_seed
 from .chain import (_paths, kernel_power_closed_form, kernel_power_profile,
                     ladder_weights, default_observable)
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config
@@ -38,6 +37,10 @@ H2_QUAD_STEPS = 4000
 CONVERGENCE_RTOL = 0.10
 DECAY_TOL = 1e-6
 MAX_THREADS = 64   # --threads ceiling
+# Every random stream, named once and prefixed by its subcommand: stream i has spawn key
+# (i,), and its child j (an ensemble run, a coupling offset, a chain start) (i, j).
+STREAMS = ("field", "decay", "tracer", "ergodic.run", "ergodic.moment_scan",
+           "ergodic.stability", "ergodic.coupling", "ergodic.lln", "chain")
 
 
 class CheckFailure(RuntimeError):
@@ -52,12 +55,19 @@ def _build_model(cfg: ExperimentConfig, truncation: int | None = None):
                                     m=sp.m, alpha=sp.alpha)
 
 
-def _manifest(cfg: ExperimentConfig, n_runs: int) -> dict:
-    """The run manifest heading every output file."""
-    master = cfg.simulation.seed
+def _stream(cfg: ExperimentConfig, name: str, *index: int) -> np.random.SeedSequence:
+    """The seed of the named stream, or of its child index."""
+    return np.random.SeedSequence(cfg.simulation.seed,
+                                  spawn_key=(STREAMS.index(name), *index))
+
+
+def _manifest(cfg: ExperimentConfig, subcommand: str) -> dict:
+    """The run manifest heading every output file; it maps each stream of the
+    subcommand to its spawn key."""
     return {"config_hash": config_hash(cfg), "version": __version__,
-            "master_seed": master,
-            "run_seeds": [derive_seed(master, i) for i in range(n_runs)],
+            "master_seed": cfg.simulation.seed,
+            "streams": {name: [i] for i, name in enumerate(STREAMS)
+                        if name.split(".")[0] == subcommand},
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat()}
 
 
@@ -86,7 +96,7 @@ def _write_jsonl(path: str, manifest: dict, lines: list[str]) -> None:
 
 
 def _write_csv(path: str, manifest: dict, columns: list[str], rows) -> None:
-    head = [f"# {key}={','.join(map(str, value)) if key == 'run_seeds' else value}"
+    head = [f"# {key}={json.dumps(value) if key == 'streams' else value}"
             for key, value in manifest.items()] + [",".join(columns)]
     _write_lines(path, itertools.chain(head, rows))
 
@@ -115,7 +125,7 @@ def _cmd_validate(cfg: ExperimentConfig, out: str, threads: int) -> None:
                                    {"K_half": sp.truncation // 2}, rel1, 0.0))
         lines.append(_probe_record(cfg, "h2_half_truncation_change",
                                    {"K_half": sp.truncation // 2}, rel2, 0.0))
-    _write_jsonl(out, _manifest(cfg, 0), lines)
+    _write_jsonl(out, _manifest(cfg, "validate"), lines)
     print(f"gamma_star={gs} h1={h1_full} h2={h2_full} converged={converged}",
           file=sys.stderr)
     if not converged:
@@ -126,7 +136,7 @@ def _cmd_validate(cfg: ExperimentConfig, out: str, threads: int) -> None:
 def _cmd_field(cfg: ExperimentConfig, out: str, threads: int) -> None:
     model = _build_model(cfg)
     rep = ou_covariance_report(model, ensemble=max(cfg.simulation.ensemble, 2),
-                               lags=(0.1, 0.5, 1.0), seed=cfg.simulation.seed)
+                               lags=(0.1, 0.5, 1.0), seed=_stream(cfg, "field"))
     lines = [_probe_record(cfg, "ou_eqtime_covariance",
                            {"ensemble": rep["ensemble"]},
                            rep["max_eqtime_frobenius_rel"], 0.0),
@@ -137,22 +147,22 @@ def _cmd_field(cfg: ExperimentConfig, out: str, threads: int) -> None:
         lines.append(_probe_record(cfg, "ou_lag_correlation",
                                    {"lag": h, "ensemble": rep["ensemble"]},
                                    err, 0.0))
-    _write_jsonl(out, _manifest(cfg, 0), lines)
+    _write_jsonl(out, _manifest(cfg, "field"), lines)
 
 
 def _cmd_decay(cfg: ExperimentConfig, out: str, threads: int) -> None:
     sim = cfg.simulation
     if round(min(sim.T, 5.0) / sim.dt) < 1:
         raise ConfigError(f"simulation.dt: {sim.dt} leaves no step in the decay horizon")
-    rep = modulus_decay_report(_build_model(cfg), n_starts=sim.ensemble,
-                               horizon=min(sim.T, 5.0), dt=sim.dt, seed=sim.seed)
+    rep = modulus_decay_report(_build_model(cfg), n_starts=sim.ensemble, dt=sim.dt,
+                               horizon=min(sim.T, 5.0), seed=_stream(cfg, "decay"))
     lines = [_probe_record(cfg, "modulus_decay_rel_error",
                            {"n_starts": rep["n_starts"], "dt": rep["dt"],
                             "horizon": rep["horizon"]},
                            rep["max_rel_modulus_error"], 0.0),
              _probe_record(cfg, "norm_contraction_excess", {},
                            rep["max_norm_excess"], 0.0)]
-    _write_jsonl(out, _manifest(cfg, 0), lines)
+    _write_jsonl(out, _manifest(cfg, "decay"), lines)
     if rep["max_rel_modulus_error"] > DECAY_TOL:
         raise CheckFailure("per-mode modulus decay error "
                            f"{rep['max_rel_modulus_error']:.3g} exceeds {DECAY_TOL}")
@@ -164,8 +174,8 @@ def _cmd_tracer(cfg: ExperimentConfig, out: str, threads: int) -> None:
     model = _build_model(cfg)
     sim = cfg.simulation
     records = run_trajectory_ensemble(model, sim.T, sim.dt, sim.record_every,
-                                      sim.seed, sim.ensemble, threads=threads)
-    manifest = _manifest(cfg, sim.ensemble)
+                                      _stream(cfg, "tracer"), sim.ensemble, threads=threads)
+    manifest = _manifest(cfg, "tracer")
     rows = (row for rid, rec in enumerate(records) for row in trajectory_csv_rows(rid, rec))
     _write_csv(out, manifest, csv_columns(model.dimension), rows)
     if len(records) >= 2:
@@ -192,15 +202,15 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
         top = round(horizons[-1] / sim.dt)
         for t in horizons:
             k = round(t / sim.dt)
-            if abs(k * sim.dt - t) > 1e-9 * max(1.0, t) or (k % sim.record_every and k != top):
+            if k < 1 or abs(k * sim.dt - t) > 1e-9 * max(1.0, t) or (
+                    k % sim.record_every and k != top):
                 raise ConfigError(f"probe.horizons: {t} is off the grid of dt * record_every")
     model = _build_model(cfg)
-    seed = sim.seed
     psi = ObservableSpec(pr.observable, pr.component, pr.delta)
-    lines = []
+    ens, lines = max(sim.ensemble, 2), []   # every probe ensemble needs a spread
 
     rec = run_lagrangian(model, sim.T, sim.dt, sim.record_every,
-                         derive_seed(seed, 101))
+                         _stream(cfg, "ergodic.run"))
     summary = summarize_run(rec, psi, delta=pr.delta)
     lines.append(_probe_record(cfg, "occupation_fraction",
                                {"delta": summary.delta, "T": summary.horizon},
@@ -212,8 +222,8 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
                                {"observable": pr.observable, "T": summary.horizon},
                                summary.time_avg, summary.time_avg_stderr))
 
-    scan = moment_scan(model, pr.R, pr.n, T=min(sim.T, 10.0),
-                       ensemble=max(sim.ensemble, 2), seed=derive_seed(seed, 102))
+    scan = moment_scan(model, pr.R, pr.n, T=min(sim.T, 10.0), ensemble=ens,
+                       seed=_stream(cfg, "ergodic.moment_scan"))
     lines.append(_probe_record(cfg, "moment_scan",
                                {"R": pr.R, "n": pr.n,
                                 "stationary_value": scan.stationary_value,
@@ -222,18 +232,16 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
     eps = pr.eps if pr.eps is not None else \
         3.0 * math.sqrt(stationary_norm_moment(model, 1))
-    stab = stability_probe(model, eps, T=min(sim.T, 2.0),
-                           ensemble=max(sim.ensemble, 2),
-                           seed=derive_seed(seed, 103), dt=sim.dt)
+    stab = stability_probe(model, eps, T=min(sim.T, 2.0), ensemble=ens,
+                           seed=_stream(cfg, "ergodic.stability"), dt=sim.dt)
     lines.append(_probe_record(cfg, "stability_probe",
                                {"eps": eps, "T": stab.horizon,
                                 "norm_sq_mean": stab.norm_sq_mean,
                                 "norm_sq_closed": stab.norm_sq_closed, "z": stab.z},
                                stab.probability, stab.stderr))
 
-    coup = e_property_probe(model, pr.offsets, psi, T=min(sim.T, 2.0),
-                            ensemble=max(sim.ensemble, 2),
-                            seed=derive_seed(seed, 104), dt=sim.dt)
+    coup = e_property_probe(model, pr.offsets, psi, T=min(sim.T, 2.0), ensemble=ens,
+                            seed=_stream(cfg, "ergodic.coupling"), dt=sim.dt)
     for h, dval, se, t in zip(coup.offsets, coup.profile, coup.stderr, coup.t_argmax):
         lines.append(_probe_record(cfg, "e_property",
                                    {"offset": float(h), "T": coup.horizon,
@@ -241,32 +249,31 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
                                    float(dval), float(se)))
 
     if len(horizons) >= 2:
-        lln = lln_test(model, psi, horizons, ensemble=max(sim.ensemble, 2),
-                       seed=derive_seed(seed, 105), dt=sim.dt,
+        lln = lln_test(model, psi, horizons, ensemble=ens,
+                       seed=_stream(cfg, "ergodic.lln"), dt=sim.dt,
                        record_every=sim.record_every, threads=threads)
         for T, var in zip(lln.horizons, lln.variances):
             lines.append(_probe_record(cfg, "lln_variance",
                                        {"T": float(T),
                                         "observable": pr.observable},
                                        float(var), 0.0))
-    _write_jsonl(out, _manifest(cfg, 0), lines)
+    _write_jsonl(out, _manifest(cfg, "ergodic"), lines)
 
 
 def _cmd_chain(cfg: ExperimentConfig, out: str, threads: int) -> None:
     pr = cfg.probe
-    seed = cfg.simulation.seed
     f = default_observable
     rows = []
     for xi, x in enumerate(pr.chain_x):
         n_max = pr.chain_n_max
         profile = kernel_power_profile(x, n_max, f)
         stay = ladder_weights(x, n_max)[0] if x >= 1.0 else None
-        rng_seed = derive_seed(seed, 200 + xi)
         # one MC sweep records the running mean of f at every horizon
         vals = np.tanh(np.full(pr.mc_paths, float(x)))
         mc_mean, mc_se = np.empty((2, n_max + 1))
         mc_mean[0], mc_se[0] = vals.mean(), 0.0
-        for n, (states, _) in enumerate(_paths(x, n_max, pr.mc_paths, rng_seed), 1):
+        paths = _paths(x, n_max, pr.mc_paths, _stream(cfg, "chain", xi))
+        for n, (states, _) in enumerate(paths, 1):
             mc_mean[n] = np.tanh(states, out=vals).mean()   # std(ddof=1) reuses it
             ss = np.square(np.subtract(vals, mc_mean[n], out=vals), out=vals).sum()
             mc_se[n] = np.sqrt(ss / (pr.mc_paths - 1)) / math.sqrt(pr.mc_paths)
@@ -276,7 +283,7 @@ def _cmd_chain(cfg: ExperimentConfig, out: str, threads: int) -> None:
             rows.append(",".join([repr(float(x)), str(n), repr(float(closed)),
                                   repr(float(profile[n])), repr(float(mc_mean[n])),
                                   repr(float(mc_se[n])), repr(h_n)]))
-    _write_csv(out, _manifest(cfg, 0), ["x", "n", "closed", "exact", "mc",
+    _write_csv(out, _manifest(cfg, "chain"), ["x", "n", "closed", "exact", "mc",
                                         "mc_stderr", "H_n"], rows)
 
 
@@ -309,6 +316,9 @@ def main(argv=None) -> int:
         _HANDLERS[args.subcommand](cfg, args.out, max(1, args.threads))
     except (ConfigError, SpectrumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("config error: the config's sizes do not fit in memory", file=sys.stderr)
         return 1
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

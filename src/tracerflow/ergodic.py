@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import derive_seed
+from ._ensemble import child_seeds
 from .spectrum import SpectrumModel
 from .field import (NumericalFailure, ens_norm_m, ens_observation_step,
                     ens_ou_step, ens_pair_noise, ens_tile, noiseless_flow_step,
@@ -303,12 +303,16 @@ def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
     if np.any(offsets < 0.0) or np.any(np.diff(offsets) > 0.0):
         raise ValueError("offsets must be nonnegative and sorted decreasing")
 
+    def gap(a, b):
+        with np.errstate(over="ignore"):   # a huge offset's norm reads inf; tanh(inf) = 1
+            return psi.on_stacked(model, b) - psi.on_stacked(model, a)
+
     profile, stderrs, t_argmax = np.empty((3, offsets.size))
-    for oi, h in enumerate(offsets):
-        pair_rng = np.random.default_rng(derive_seed(seed, oi + 1))
+    for oi, (h, pair_seed) in enumerate(zip(offsets, child_seeds(seed, offsets.size))):
+        pair_rng = np.random.default_rng(pair_seed)
         a = ens_tile(x, ensemble)
         b = ens_tile(x + h * direction, ensemble)
-        diff0 = psi.on_stacked(model, b) - psi.on_stacked(model, a)
+        diff0 = gap(a, b)
         best_gap = abs(float(diff0.mean()))
         best_se = float(diff0.std(ddof=1) / math.sqrt(ensemble))
         best_t = 0.0
@@ -318,10 +322,10 @@ def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
             ens_observation_step(model, b, dt, noise, out=b)
             if step % record_stride and step != n_steps:
                 continue
-            diff = psi.on_stacked(model, b) - psi.on_stacked(model, a)
-            gap = abs(float(diff.mean()))
-            if gap > best_gap:
-                best_gap = gap
+            diff = gap(a, b)
+            g = abs(float(diff.mean()))
+            if g > best_gap:
+                best_gap = g
                 best_se = float(diff.std(ddof=1) / math.sqrt(ensemble))
                 best_t = step * dt
         profile[oi], stderrs[oi], t_argmax[oi] = best_gap, best_se, best_t

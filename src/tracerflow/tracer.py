@@ -39,7 +39,7 @@ class TrajectoryRecord:
     displacements: np.ndarray    # (n, d)
     velocities: np.ndarray       # (n, d), field value at the tracer
     field_norms: np.ndarray      # (n,), X^m norm of the shifted field
-    seed: int
+    seed: int | np.random.SeedSequence   # what default_rng received
     dt: float
 
     def __post_init__(self):
@@ -146,7 +146,7 @@ def run_lagrangian(model: SpectrumModel, T: float, dt: float,
             j += 1
     return TrajectoryRecord(times=times, positions=positions,
                             displacements=displacements, velocities=velocities,
-                            field_norms=norms, seed=int(seed), dt=dt)
+                            field_norms=norms, seed=seed, dt=dt)
 
 
 def stokes_drift_estimate(records: list[TrajectoryRecord]) -> tuple[np.ndarray, np.ndarray]:

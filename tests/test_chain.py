@@ -7,7 +7,6 @@ import pytest
 from scipy.special import polygamma
 
 from tracerflow import cli
-from tracerflow._util import derive_seed
 from tracerflow.chain import MAX_EXACT_DEPTH, _sweep
 from tracerflow import (climb_probability, contraction_map, exact_distribution,
                         kernel_power_closed_form, kernel_power_profile,
@@ -271,7 +270,8 @@ def test_chain_cli_mc_columns_are_the_where_loop(tmp_path):
     rows = [ln.split(",") for ln in out.read_text().splitlines()
             if not ln.startswith("#")][1:]
     want = []
-    for xi, x in enumerate(xs):
-        _, _, _, mean, se = _where_paths(x, n_max, paths, derive_seed(seed, 200 + xi))
+    for xi, x in enumerate(xs):   # child xi of the chain stream, whose spawn key is 8
+        stream = np.random.SeedSequence(seed, spawn_key=(8, xi))
+        _, _, _, mean, se = _where_paths(x, n_max, paths, stream)
         want += [[repr(mean[n]), repr(se[n])] for n in range(1, n_max + 1)]
     assert [r[4:6] for r in rows] == want

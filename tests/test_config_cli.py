@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tracerflow import (ConfigError, __version__, cli, config_hash, parse_config,
+from tracerflow import (ConfigError, ObservableSpec, __version__, cli, config_hash,
+                        e_property_probe, parse_config, run_trajectory_ensemble,
                         serialize_config)
-from tracerflow._util import derive_seed
+from tracerflow._ensemble import child_seeds
 
 
 def run_cli(*args):
@@ -31,36 +32,43 @@ def body_of(path):
     return [ln for ln in lines if not ln.startswith("#")]
 
 
-def expected_manifest(cfg_path, n_runs):
+# the spawn key of every stream each subcommand draws from
+STREAMS = {"validate": {}, "field": {"field": [0]}, "decay": {"decay": [1]},
+           "tracer": {"tracer": [2]},
+           "ergodic": {"ergodic.run": [3], "ergodic.moment_scan": [4],
+                       "ergodic.stability": [5], "ergodic.coupling": [6],
+                       "ergodic.lln": [7]},
+           "chain": {"chain": [8]}}
+
+
+def expected_manifest(cfg_path, subcommand):
     """Every manifest entry but the creation time, in order."""
     cfg = parse_config(cfg_path.read_text())
-    master = cfg.simulation.seed
     return {"config_hash": config_hash(cfg), "version": __version__,
-            "master_seed": master,
-            "run_seeds": [derive_seed(master, i) for i in range(n_runs)]}
+            "master_seed": cfg.simulation.seed, "streams": STREAMS[subcommand]}
 
 
 def assert_created_is_utc(created):
     assert datetime.datetime.fromisoformat(created).utcoffset() == datetime.timedelta(0)
 
 
-def assert_jsonl_manifest(path, cfg_path, n_runs):
+def assert_jsonl_manifest(path, cfg_path, subcommand):
     with open(path) as fh:
         manifest = json.loads(fh.readline())["manifest"]
-    want = expected_manifest(cfg_path, n_runs)
+    want = expected_manifest(cfg_path, subcommand)
     assert list(manifest) == [*want, "created"]
     assert_created_is_utc(manifest.pop("created"))
     assert manifest == want
 
 
-def assert_csv_manifest(path, cfg_path, n_runs):
+def assert_csv_manifest(path, cfg_path, subcommand):
     with open(path) as fh:
         head = [ln for ln in fh.read().splitlines() if ln.startswith("#")]
-    want = expected_manifest(cfg_path, n_runs)
+    want = expected_manifest(cfg_path, subcommand)
     assert head[:-1] == [f"# config_hash={want['config_hash']}",
                          f"# version={want['version']}",
                          f"# master_seed={want['master_seed']}",
-                         "# run_seeds=" + ",".join(map(str, want["run_seeds"]))]
+                         "# streams=" + json.dumps(want["streams"])]
     assert head[-1].startswith("# created=")
     assert_created_is_utc(head[-1].removeprefix("# created="))
 
@@ -162,16 +170,22 @@ def test_config_hash_sensitivity():
 
 # ---------------------------------------------------------------- seeds
 
+def states(seeds):
+    return [ss.generate_state(4).tobytes() for ss in seeds]
+
+
 def test_seed_derivation_is_counter_based():
-    s = [derive_seed(123, i) for i in range(100)]
+    # child i extends the parent's spawn key by (i,), whatever was derived before
+    parent = np.random.SeedSequence(123, spawn_key=(2,))
+    s = states(child_seeds(parent, 100))
     assert len(set(s)) == 100
-    assert s == [derive_seed(123, i) for i in range(100)]
+    assert s == states(child_seeds(parent, 100))
+    assert s == states(np.random.SeedSequence(123, spawn_key=(2, i)) for i in range(100))
 
 
 def test_adjacent_streams_uncorrelated():
     n = 1_000_000
-    a = np.random.default_rng(derive_seed(9, 0)).standard_normal(n)
-    b = np.random.default_rng(derive_seed(9, 1)).standard_normal(n)
+    a, b = (np.random.default_rng(c).standard_normal(n) for c in child_seeds(9, 2))
     corr = float(np.corrcoef(a, b)[0, 1])
     assert abs(corr) < 3.0 / np.sqrt(n)
 
@@ -387,7 +401,7 @@ def test_chain_subcommand_table(small_cfg, tmp_path):
     out = tmp_path / "chain.csv"
     res = run_cli("chain", "--config", str(small_cfg), "--out", str(out))
     assert res.returncode == 0
-    assert_csv_manifest(out, small_cfg, 0)
+    assert_csv_manifest(out, small_cfg, "chain")
     lines = body_of(out)
     assert lines[0] == "x,n,closed,exact,mc,mc_stderr,H_n"
     for ln in lines[1:]:
@@ -396,27 +410,82 @@ def test_chain_subcommand_table(small_cfg, tmp_path):
             assert abs(float(closed) - float(exact)) <= 1e-14
 
 
-def test_tracer_manifest_lists_the_run_seeds(small_cfg, tmp_path):
+def test_tracer_manifest_lists_the_streams(small_cfg, tmp_path):
     cfg = json.loads(small_cfg.read_text())
     cfg["simulation"]["ensemble"] = 3
     small_cfg.write_text(json.dumps(cfg))
     out = tmp_path / "t.csv"
     assert cli.main(["tracer", "--config", str(small_cfg), "--out", str(out)]) == 0
-    assert_csv_manifest(out, small_cfg, 3)
-    assert_jsonl_manifest(str(out) + ".drift.jsonl", small_cfg, 3)
+    assert_csv_manifest(out, small_cfg, "tracer")
+    assert_jsonl_manifest(str(out) + ".drift.jsonl", small_cfg, "tracer")
 
 
 def test_ergodic_subcommand_probe_records(small_cfg, tmp_path):
     out = tmp_path / "erg.jsonl"
     res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
     assert res.returncode == 0
-    assert_jsonl_manifest(out, small_cfg, 0)
+    assert_jsonl_manifest(out, small_cfg, "ergodic")
     recs = [json.loads(ln) for ln in body_of(out)]
     assert all(set(r) == {"probe", "params", "estimate", "stderr", "seed",
                           "config_hash"} for r in recs)
     probes = {r["probe"] for r in recs}
     assert {"occupation_fraction", "moment_scan", "stability_probe",
             "e_property", "lln_variance"} <= probes
+
+
+def manifest_streams(path):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if lines[0].startswith("{"):
+        return json.loads(lines[0])["manifest"]["streams"]
+    [line] = [ln for ln in lines if ln.startswith("# streams=")]
+    return json.loads(line.removeprefix("# streams="))
+
+
+def test_every_stream_is_distinct_and_listed(small_cfg, tmp_path, monkeypatch):
+    # every seed handed to default_rng in one invocation of each subcommand: the
+    # streams, the ensemble runs and the coupling offsets and chain starts
+    real, drawn = np.random.default_rng, []
+
+    def spy(seed=None):
+        drawn.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    master = parse_config(small_cfg.read_text()).simulation.seed
+    every = []
+    for sub in cli.SUBCOMMANDS:
+        drawn.clear()
+        out = tmp_path / sub
+        assert cli.main([sub, "--config", str(small_cfg), "--out", str(out)]) == 0, sub
+        assert all(isinstance(ss, np.random.SeedSequence) and ss.entropy == master
+                   for ss in drawn), (sub, drawn)
+        s = states(drawn)
+        assert len(set(s)) == len(s), sub
+        every += s
+        streams = manifest_streams(out)
+        assert streams == STREAMS[sub]
+        assert sorted({ss.spawn_key[0] for ss in drawn}) == \
+            sorted(key for [key] in streams.values()), sub
+    assert len(set(every)) == len(every)
+    # field, decay, 4 tracer runs; ergodic's run, scan, stability, coupling,
+    # its 2 offsets and 4 LLN runs; 3 chain starts
+    assert len(every) == 1 + 1 + 4 + (1 + 1 + 1 + 1 + 2 + 4) + 3
+
+
+def test_children_do_not_depend_on_earlier_calls(small_model):
+    # a SeedSequence passed in is never spawned from, so a second call with the
+    # same object draws the same streams
+    ss = np.random.SeedSequence(7, spawn_key=(2,))
+    runs = [run_trajectory_ensemble(small_model, 0.05, 0.01, 1, ss, 2) for _ in range(2)]
+    assert [r.positions.tobytes() for r in runs[0]] == \
+        [r.positions.tobytes() for r in runs[1]]
+    assert states(r.seed for r in runs[0]) == \
+        states(np.random.SeedSequence(7, spawn_key=(2, i)) for i in range(2))
+    psi = ObservableSpec("velocity_at_origin")
+    a, b = (e_property_probe(small_model, [0.5, 0.25], psi, T=0.05, ensemble=4,
+                             seed=ss, dt=0.01) for _ in range(2))
+    assert a.profile.tobytes() == b.profile.tobytes()
 
 
 @pytest.mark.parametrize("probe, needle", [
@@ -557,6 +626,7 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("ergodic", "probe", "offsets", [0.25, 1.0], "probe.offsets"),
     ("ergodic", "probe", "offsets", [1.0, -0.5], "probe.offsets"),
     ("ergodic", "probe", "horizons", [-0.5, 0.5], "probe.horizons"),
+    ("ergodic", "probe", "horizons", [1e-10, 1.0], "probe.horizons"),
     ("ergodic", "spectrum", "dimension", 1, "spectrum.projection"),
     ("decay", "spectrum", "dimension", 1, "spectrum.projection"),
     ("field", "spectrum", "dimension", 1, "spectrum.projection"),
@@ -577,7 +647,8 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("tracer", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
     ("ergodic", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
 ], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative",
-        "horizon_negative", "ergodic_d1", "decay_d1", "field_d1", "output_section",
+        "horizon_negative", "horizon_at_step_0", "ergodic_d1", "decay_d1", "field_d1",
+        "output_section",
         "offsets_string", "offsets_null", "offsets_numeric_string", "offsets_bool",
         "offsets_nan", "offsets_infinity", "horizons_string_second", "radius_negative",
         "energy_overflow_validate", "energy_overflow_tracer",
@@ -611,7 +682,7 @@ HUGE_FIELDS = {"sigma0", "gamma_coeff", "R", "eps", "delta", "offsets", "chain_x
 def _single_field_mutations():
     """Every numeric config field flipped in sign, zeroed, or (lists) reversed
     or with a non-numeric or non-finite last entry, the dimension set to 1, and
-    each of HUGE_FIELDS (lists: the last entry) set to HUGE."""
+    each of HUGE_FIELDS (lists: the first or the last entry) set to HUGE."""
     out = [(("spectrum", "dimension"), 1)]
     for section, fields in asdict(parse_config(json.dumps(TINY))).items():
         for key, v in fields.items():
@@ -625,7 +696,8 @@ def _single_field_mutations():
             else:
                 continue
             if key in HUGE_FIELDS:
-                values.append([*v[:-1], HUGE] if isinstance(v, list) else HUGE)
+                values += [[HUGE, *v[1:]], [*v[:-1], HUGE]] if isinstance(v, list) \
+                    else [HUGE]
             out += [((section, key), value) for value in values]
     return out
 
@@ -644,6 +716,8 @@ def _no_json_constant(name):
 @example(mutation=(("probe", "offsets"), [0.5, "x"]))
 @example(mutation=(("probe", "R"), HUGE))
 @example(mutation=(("spectrum", "sigma0"), HUGE))
+@example(mutation=(("probe", "offsets"), [HUGE, 0.25]))
+@example(mutation=(("probe", "horizons"), [1e-10, 0.2]))
 def test_cli_keeps_its_exit_codes_under_single_field_mutations(mutation):
     (section, key), value = mutation
     cfg = copy.deepcopy(TINY)
@@ -706,3 +780,24 @@ def test_huge_chain_start_climbs_surely_without_numpy_warnings(tmp_path):
     assert header.split(",")[-1] == "H_n"
     assert len(rows) == TINY["probe"]["chain_n_max"]
     assert all(float(row.split(",")[-1]) == 1.0 for row in rows)
+
+
+def test_huge_coupling_offset_reads_one_without_numpy_warnings(tmp_path):
+    # the offset's norm overflows to inf, and tanh(inf) = 1 against tanh(0) = 0
+    res, out = run_tiny(tmp_path, "ergodic", probe={"offsets": [HUGE, 0.25]})
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    coupling = [r for r in map(json.loads, body_of(out)) if r["probe"] == "e_property"]
+    assert coupling[0]["params"]["offset"] == HUGE
+    assert coupling[0]["estimate"] == 1.0
+
+
+@pytest.mark.parametrize("subcommand", ["validate", "tracer"])
+def test_lattice_too_large_to_allocate_is_one_line_exit_1(tmp_path, subcommand):
+    # 17^14 sites: numpy refuses the request at once
+    path = tmp_path / "cfg.json"
+    path.write_text('{"dimension": 14, "K": 8, "seed": 1}')
+    out = tmp_path / "out"
+    res = run_cli(subcommand, "--config", str(path), "--out", str(out))
+    assert_one_line_exit_1(res, "do not fit in memory")
+    assert not out.exists()

@@ -8,7 +8,6 @@ from tracerflow import (NumericalFailure, ObservableSpec, TrajectoryRecord,
                         moment_scan, occupation_fraction, run_lagrangian,
                         run_trajectory_ensemble, stability_probe,
                         stationary_norm_moment, zero_field)
-from tracerflow._util import derive_seed
 from tracerflow.ergodic import (_trapezoid_mean, _unit_direction,
                                 time_average_with_stderr)
 from tracerflow.field import _phase_factor, ens_norm_m, ens_pair_noise, ens_tile
@@ -308,7 +307,7 @@ def _allocating_coupling(model, offsets, psi, T, ensemble, seed, dt, stride):
     n_steps = int(round(T / dt))
     profile, stderrs = [], []
     for oi, h in enumerate(offsets):
-        pair_rng = np.random.default_rng(derive_seed(seed, oi + 1))
+        pair_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(oi,)))
         a = ens_tile(zero_field(model), ensemble)
         b = ens_tile(h * direction, ensemble)
         diff0 = psi.on_stacked(model, b) - psi.on_stacked(model, a)
