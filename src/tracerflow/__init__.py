@@ -8,9 +8,8 @@ from .spectrum import (SpectrumModel, SpectrumError,
 from .field import (NumericalFailure, zero_field, sobolev_norm, evaluate,
                     origin_value, sample_stationary, ou_exact_step,
                     covariance_oracle, noiseless_flow_step)
-from .tracer import (TracerState, TrajectoryRecord, shift_field, advect_step,
-                     run_lagrangian, stokes_drift_estimate,
-                     displacement_identity_gap)
+from .tracer import (TrajectoryRecord, shift_field, advect_step, run_lagrangian,
+                     stokes_drift_estimate, displacement_identity_gap)
 from .ergodic import (ObservableSpec, ErgodicReport, occupation_fraction,
                       summarize_run, moment_scan, stability_probe,
                       e_property_probe, lln_test, stationary_norm_moment)

@@ -197,6 +197,8 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
         raise ConfigError(f"probe.component: {pr.component} is outside [0, {d - 1}]")
     if round(min(sim.T, 10.0) / MOMENT_GRID_DT) < 1:
         raise ConfigError(f"simulation.T: {sim.T} rounds to no moment-scan step")
+    if round(min(sim.T, 2.0) / sim.dt) < 1:
+        raise ConfigError(f"simulation.dt: {sim.dt} leaves no step in the probe horizon")
     horizons = [t for t in pr.horizons if t <= sim.T]
     if len(horizons) >= 2:   # lln_test reads them off runs recorded up to horizons[-1]
         top = round(horizons[-1] / sim.dt)

@@ -195,6 +195,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("probe.horizons: must be increasing")
     if not 1 <= pr.chain_n_max <= MAX_EXACT_DEPTH:
         raise ConfigError(f"probe.chain_n_max: must lie in [1, {MAX_EXACT_DEPTH}]")
+    if not pr.chain_x:
+        raise ConfigError("probe.chain_x: must not be empty")
     if pr.mc_paths < 2:
         raise ConfigError("probe.mc_paths: must be >= 2")
 

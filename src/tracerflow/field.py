@@ -267,14 +267,14 @@ def ou_covariance_report(model: SpectrumModel, ensemble: int, lags: tuple,
     Equal-time: Frobenius-relative error of the empirical per-site
     covariance versus energy(k).  Lag h: trace correlation versus
     exp(-gamma(k) h) (absolute deviation).  Restricted to the _TOP_MODES
-    sites of largest energy trace.
+    sites of largest energy trace, and to sites that carry energy at all.
     """
     rng = np.random.default_rng(seed)
     cpos0 = ens_pair_noise(model, rng, None, ensemble)
     tr = np.real(np.trace(model.energy, axis1=1, axis2=2))
     # mirror sites carry conjugate statistics, so checking the top
     # representative pairs covers at least the _TOP_MODES sites
-    sel = np.lexsort((np.arange(tr.size), -tr))[:_TOP_MODES]
+    sel = [i for i in np.lexsort((np.arange(tr.size), -tr))[:_TOP_MODES] if tr[i] > 0]
 
     def site_cov(a, b, i):
         return (a[:, i, :, None] * b[:, i, None, :].conj()).mean(axis=0)

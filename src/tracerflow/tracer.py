@@ -1,11 +1,12 @@
 """Passive tracer advection and the Lagrangian observation records.
 
-The tracer solves dx/dt = V(t, x(t)) through the exact-in-law Ornstein-
-Uhlenbeck field.  The observation process (the field seen from the tracer)
-is produced by the exact Fourier shift of the Eulerian field, which carries
-no extra discretization error.  The Galerkin splitting stepper
-:func:`field.ens_observation_step` steps the observation process directly; it
-drives the stability and coupling probes of :mod:`ergodic`.
+A tracer is two arrays, its position on the torus and its unwrapped
+displacement.  It solves dx/dt = V(t, x(t)) through the exact-in-law
+Ornstein-Uhlenbeck field: :func:`advect_step` returns the RK4 increment, and
+the caller adds it to both.  The observation process (the field seen from the
+tracer) is the exact Fourier shift of the Eulerian field, with no extra
+discretization error; :func:`field.ens_observation_step` steps it directly
+for the stability and coupling probes of :mod:`ergodic`.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ from .field import (NumericalFailure, _eval, evaluate, ou_exact_step,
                     sample_stationary, sobolev_norm)
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass
-class TracerState:
-    """Tracer position on the torus plus unwrapped displacement (radians)."""
-
-    position: np.ndarray      # componentwise in [0, 2pi)
-    displacement: np.ndarray  # unwrapped
 
 
 @dataclass
@@ -76,19 +69,18 @@ def shift_field(model: SpectrumModel, coeffs: np.ndarray, a) -> np.ndarray:
     return coeffs * mult[:, None]
 
 
-def advect_step(tracer: TracerState, model: SpectrumModel, coeffs: np.ndarray,
-                dt: float, rng: np.random.Generator) -> tuple[TracerState, np.ndarray]:
-    """One coupled step: field advanced by two exact half-steps, tracer by RK4.
+def advect_step(x: np.ndarray, model: SpectrumModel, coeffs: np.ndarray,
+                dt: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One coupled step from x: the RK4 increment and the field at t + dt.
 
-    The field snapshots at t, t+dt/2, t+dt feed the four Runge-Kutta stages
-    at their standard times, so the field stays exact in law at stage times.
+    The field snapshots at t, t+dt/2, t+dt (two exact half-steps) feed the RK4
+    stages at their standard times, so the field stays exact in law there.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     k = model.k_pos
     half = ou_exact_step(model, coeffs, dt / 2.0, rng)
     full = ou_exact_step(model, half, dt / 2.0, rng)
-    x = tracer.position
     k1 = _eval(coeffs, k, x)
     k2 = _eval(half, k, wrap_torus(x + (0.5 * dt) * k1))
     k3 = _eval(half, k, wrap_torus(x + (0.5 * dt) * k2))
@@ -96,9 +88,7 @@ def advect_step(tracer: TracerState, model: SpectrumModel, coeffs: np.ndarray,
     delta = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("non-finite tracer increment")
-    new = TracerState(position=wrap_torus(x + delta),
-                      displacement=tracer.displacement + delta)
-    return new, full
+    return delta, full
 
 
 def run_lagrangian(model: SpectrumModel, T: float, dt: float,
@@ -117,32 +107,24 @@ def run_lagrangian(model: SpectrumModel, T: float, dt: float,
     rng = np.random.default_rng(seed)
     field = sample_stationary(model, rng)
     d = model.dimension
-    tracer = TracerState(np.zeros(d), np.zeros(d))
+    x, disp = np.zeros(d), np.zeros(d)
 
     n_steps = int(round(T / dt))
-    rec_idx = list(range(0, n_steps + 1, int(record_every)))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
-    n_rec = len(rec_idx)
+    n_rec = n_steps // int(record_every) + 1 + bool(n_steps % record_every)
     times = np.empty(n_rec)
     positions = np.empty((n_rec, d))
     displacements = np.empty((n_rec, d))
     velocities = np.empty((n_rec, d))
     norms = np.empty(n_rec)
-
-    def record(j, step):
-        times[j] = step * dt
-        positions[j] = tracer.position
-        displacements[j] = tracer.displacement
-        velocities[j] = evaluate(model, field, tracer.position)
-        norms[j] = sobolev_norm(model, shift_field(model, field, tracer.position), model.m)
-
-    record(0, 0)
-    j = 1
-    for step in range(1, n_steps + 1):
-        tracer, field = advect_step(tracer, model, field, dt, rng)
-        if j < n_rec and step == rec_idx[j]:
-            record(j, step)
+    j = 0
+    for step in range(n_steps + 1):
+        if step:
+            delta, field = advect_step(x, model, field, dt, rng)
+            x, disp = wrap_torus(x + delta), disp + delta
+        if step % record_every == 0 or step == n_steps:
+            times[j], positions[j], displacements[j] = step * dt, x, disp
+            velocities[j] = evaluate(model, field, x)
+            norms[j] = sobolev_norm(model, shift_field(model, field, x), model.m)
             j += 1
     return TrajectoryRecord(times=times, positions=positions,
                             displacements=displacements, velocities=velocities,

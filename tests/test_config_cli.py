@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tracerflow import (ConfigError, ObservableSpec, __version__, cli, config_hash,
-                        e_property_probe, parse_config, run_trajectory_ensemble,
-                        serialize_config)
+from tracerflow import (ConfigError, ObservableSpec, __version__, build_power_law_spectrum,
+                        cli, config_hash, e_property_probe, parse_config,
+                        run_trajectory_ensemble, serialize_config)
+from tracerflow.field import ou_covariance_report
 from tracerflow._ensemble import child_seeds
 
 
@@ -492,7 +493,8 @@ def test_children_do_not_depend_on_earlier_calls(small_model):
     ({"chain_n_max": 61}, "probe.chain_n_max"),
     ({"chain_n_max": 0}, "probe.chain_n_max"),
     ({"mc_paths": 1}, "probe.mc_paths"),
-], ids=["n_max_61", "n_max_0", "mc_paths_1"])
+    ({"chain_x": []}, "probe.chain_x"),
+], ids=["n_max_61", "n_max_0", "mc_paths_1", "chain_x_empty"])
 def test_chain_probe_out_of_range_is_exit_1(small_cfg, tmp_path, probe, needle):
     cfg = json.loads(small_cfg.read_text())
     cfg["probe"].update(probe)
@@ -770,6 +772,31 @@ def test_decay_step_longer_than_the_horizon_is_exit_1(tmp_path):
     res, out = run_tiny(tmp_path, "decay", simulation={"dt": 20.0, "T": 20.0})
     assert_one_line_exit_1(res, "simulation.dt", "20.0")
     assert not out.exists()
+
+
+def test_ergodic_step_longer_than_the_probe_horizon_is_exit_1(tmp_path):
+    # min(T, 2) rounds to no step of dt, which ran both probes for zero steps
+    res, out = run_tiny(tmp_path, "ergodic", simulation={"dt": 5.0, "T": 5.0, "ensemble": 3},
+                        probe={"horizons": [5.0, 10.0]})
+    assert_one_line_exit_1(res, "simulation.dt", "5.0")
+    assert not out.exists()
+
+
+def test_field_skips_sites_without_energy(tmp_path):
+    # |k|^-1100 underflows to 0 for |k| >= 2: 8 of the 12 pairs carry no
+    # energy, and their covariance statistics would be 0/0
+    res, _ = run_tiny(tmp_path, "field", spectrum={"decay_p": 1100},
+                      simulation={"dt": 0.01, "T": 0.2, "ensemble": 50})
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_covariance_report_without_energy_raises_no_warning():
+    model = build_power_law_spectrum(2, 2, 1.0, 1100.0, "incompressible", 1.0, 2.0)
+    assert np.count_nonzero(model.energy.any(axis=(1, 2))) == 4
+    rep = ou_covariance_report(model, ensemble=50, lags=(0.1, 0.5, 1.0), seed=1)
+    assert all(math.isfinite(v) for v in rep["max_lag_corr_abs_err"].values())
 
 
 def test_huge_chain_start_climbs_surely_without_numpy_warnings(tmp_path):

@@ -1,5 +1,6 @@
-"""Every imported name is read somewhere in its module, and every private
-module-level function or class in ``src/`` is read by some ``src/`` module.
+"""Every imported name is read somewhere in its module, every private
+module-level function or class in ``src/`` is read by some ``src/`` module,
+and every public one by some module under ``src/``, ``tests/`` or ``bench/``.
 
 Package ``__init__`` modules are exempt from the first check: their imports
 are the re-exported public names.
@@ -14,6 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")
 SRC = sorted((ROOT / "src").rglob("*.py"))
+# MODULES leaves out package __init__ modules: a re-export is not a read
+READERS = MODULES + sorted((ROOT / "bench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,11 +46,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def definitions(source: str) -> set[str]:
+    """Names of the module-level functions and classes."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
 def private_definitions(source: str) -> set[str]:
     """Module-level functions and classes named with one leading underscore."""
-    return {node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")}
+    return {name for name in definitions(source)
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def public_definitions(source: str) -> set[str]:
+    """Module-level functions and classes named without a leading underscore."""
+    return {name for name in definitions(source) if not name.startswith("_")}
 
 
 def names_read(source: str) -> set[str]:
@@ -73,4 +86,16 @@ def test_no_unused_private_definitions():
     read = set().union(*map(names_read, sources))
     unread = [(p.relative_to(ROOT).as_posix(), name) for p, source in zip(SRC, sources)
               for name in sorted(private_definitions(source) - read)]
+    assert unread == []
+
+
+def test_the_scan_sees_an_unused_public_definition():
+    source = "def used(): pass\nclass Orphan: pass\nused()\n"
+    assert public_definitions(source) - names_read(source) == {"Orphan"}
+
+
+def test_no_unused_public_definitions():
+    read = set().union(*(names_read(p.read_text()) for p in READERS))
+    unread = [(p.relative_to(ROOT).as_posix(), name) for p in SRC
+              for name in sorted(public_definitions(p.read_text()) - read)]
     assert unread == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from tracerflow import (TracerState, advect_step, run_lagrangian,
+from tracerflow import (advect_step, evaluate, run_lagrangian,
                         sample_stationary, shift_field, sobolev_norm,
                         stokes_drift_estimate)
 from tracerflow.field import ou_exact_step
@@ -50,37 +50,39 @@ def test_shift_preserves_every_norm(small_model):
 
 def test_tracer_stationary_in_dead_field():
     m = zero_energy_model()
-    tr = TracerState(np.zeros(2), np.zeros(2))
-    f = np.zeros((m.n_pairs, 2), complex)
+    x, f = np.zeros(2), np.zeros((m.n_pairs, 2), complex)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        tr, f = advect_step(tr, m, f, 1e-2, rng)
-    assert not np.any(tr.displacement)
+        delta, f = advect_step(x, m, f, 1e-2, rng)
+        assert not np.any(delta)
+        x = wrap_torus(x + delta)
     assert not np.any(f)
 
 
 def test_frozen_field_matches_scalar_ode_oracle():
     a = 0.4
     m, frozen = frozen_cosine_model(a)
-    tr, f = TracerState(np.zeros(2), np.zeros(2)), frozen
+    x, f = np.zeros(2), frozen
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        tr, f = advect_step(tr, m, f, 1e-3, rng)
-    sol = solve_ivp(lambda t, x: [2 * a * math.cos(x[0])], (0.0, 1.0), [0.0],
+        delta, f = advect_step(x, m, f, 1e-3, rng)
+        x = wrap_torus(x + delta)
+    sol = solve_ivp(lambda t, y: [2 * a * math.cos(y[0])], (0.0, 1.0), [0.0],
                     rtol=1e-12, atol=1e-14)
-    assert abs(tr.position[0] - sol.y[0, -1]) < 1e-6
-    assert abs(tr.position[1]) < 1e-14
+    assert abs(x[0] - sol.y[0, -1]) < 1e-6
+    assert abs(x[1]) < 1e-14
 
 
 def test_frozen_field_step_halving_is_fourth_order():
     m, frozen = frozen_cosine_model(1.0)
 
     def run(dt, T=1.0):
-        tr, f = TracerState(np.zeros(2), np.zeros(2)), frozen
+        x, f = np.zeros(2), frozen
         rng = np.random.default_rng(0)
         for _ in range(int(round(T / dt))):
-            tr, f = advect_step(tr, m, f, dt, rng)
-        return tr.position[0]
+            delta, f = advect_step(x, m, f, dt, rng)
+            x = wrap_torus(x + delta)
+        return x[0]
 
     ref = run(1e-4)
     e1 = abs(run(0.05) - ref)
@@ -96,6 +98,57 @@ def test_run_in_dead_field_records_zeros():
     assert not np.any(rec.velocities)
     assert not np.any(rec.displacements)
     assert not np.any(rec.field_norms)
+
+
+def rec_idx_run(m, T, dt, record_every, seed):
+    """The record loop run_lagrangian once had: a list of record steps walked
+    by a guarded index, and a closure that fills one record from the state."""
+    rng = np.random.default_rng(seed)
+    f = sample_stationary(m, rng)
+    x, disp = np.zeros(m.dimension), np.zeros(m.dimension)
+    n_steps = int(round(T / dt))
+    rec_idx = list(range(0, n_steps + 1, record_every))
+    if rec_idx[-1] != n_steps:
+        rec_idx.append(n_steps)
+    rows = []
+
+    def record(step):
+        rows.append((step * dt, x, disp, evaluate(m, f, x),
+                     sobolev_norm(m, shift_field(m, f, x), m.m)))
+
+    record(0)
+    j = 1
+    for step in range(1, n_steps + 1):
+        half = ou_exact_step(m, f, dt / 2.0, rng)
+        full = ou_exact_step(m, half, dt / 2.0, rng)
+        k1 = evaluate(m, f, x)
+        k2 = evaluate(m, half, wrap_torus(x + (0.5 * dt) * k1))
+        k3 = evaluate(m, half, wrap_torus(x + (0.5 * dt) * k2))
+        k4 = evaluate(m, full, wrap_torus(x + dt * k3))
+        delta = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        x, disp, f = wrap_torus(x + delta), disp + delta, full
+        if j < len(rec_idx) and step == rec_idx[j]:
+            record(step)
+            j += 1
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 7, 20, 25])
+def test_record_grid_is_the_rec_idx_loop_byte_for_byte(small_model, record_every):
+    # 3 and 7 leave a remainder, so the last step is appended; 25 > n_steps
+    # records only steps 0 and 20
+    rec = run_lagrangian(small_model, T=0.2, dt=0.01, record_every=record_every, seed=11)
+    ref = rec_idx_run(small_model, 0.2, 0.01, record_every, 11)
+    got = [rec.times, rec.positions, rec.displacements, rec.velocities, rec.field_norms]
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
+    assert rec.times.size == 20 // record_every + 1 + bool(20 % record_every)
+
+
+def test_whole_float_record_every_is_its_int(small_model):
+    a = run_lagrangian(small_model, T=0.2, dt=0.01, record_every=3, seed=11)
+    b = run_lagrangian(small_model, T=0.2, dt=0.01, record_every=3.0, seed=11)
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.positions.tobytes() == b.positions.tobytes()
 
 
 def test_displacement_equals_velocity_integral(small_model):
