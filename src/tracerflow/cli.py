@@ -227,7 +227,7 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
     scan = moment_scan(model, pr.R, pr.n, T=min(sim.T, 10.0), ensemble=ens,
                        seed=_stream(cfg, "ergodic.moment_scan"))
     lines.append(_probe_record(cfg, "moment_scan",
-                               {"R": pr.R, "n": pr.n,
+                               {"R": pr.R, "n": pr.n, "T": float(scan.times[-1]),
                                 "stationary_value": scan.stationary_value,
                                 "max_value": scan.max_value},
                                scan.settled_max, 0.0))

@@ -187,6 +187,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("probe.delta: must be positive")
     if pr.eps is not None and pr.eps <= 0:
         raise ConfigError("probe.eps: must be positive")
+    if not pr.offsets:
+        raise ConfigError("probe.offsets: must not be empty")
     if any(h < 0 for h in pr.offsets) or sorted(pr.offsets, reverse=True) != pr.offsets:
         raise ConfigError("probe.offsets: must be nonnegative and non-increasing")
     if any(t <= 0 for t in pr.horizons):

@@ -70,12 +70,12 @@ def _unit_direction(model: SpectrumModel, rng: np.random.Generator) -> np.ndarra
     """Random X^m-unit perturbation direction; deterministic fallback when the
     model carries no energy to sample from."""
     f = sample_stationary(model, rng)
-    nrm = sobolev_norm(model, f, model.m)
+    nrm = sobolev_norm(model, f)
     if nrm > 0.0:
         return f / nrm
     f = zero_field(model)
     f[0, 0] = 1.0
-    return f / sobolev_norm(model, f, model.m)
+    return f / sobolev_norm(model, f)
 
 
 def _trapezoid_mean(series: np.ndarray, times: np.ndarray):
@@ -151,16 +151,14 @@ def stationary_norm_moment(model: SpectrumModel, n: int) -> float:
     structure of independent circular Gaussian conjugate pairs.
     Each site sum is twice the sum over the pair rows; past the float range the moment is inf.
     """
-    w = model.sobolev_weight(model.m)
-    tr = np.real(np.trace(model.energy, axis1=1, axis2=2))
-    s2 = 2.0 * float((w * tr).sum())
+    s2 = 2.0 * float((model.weight_m * model.trace).sum())
     if n == 1:
         return s2
     if n == 2:
         tr_sq = np.real(np.trace(np.einsum("kij,kjl->kil", model.energy,
                                            model.energy), axis1=1, axis2=2))
         try:
-            return s2 ** 2 + 4.0 * float((w ** 2 * tr_sq).sum())
+            return s2 ** 2 + 4.0 * float((model.weight_m ** 2 * tr_sq).sum())
         except OverflowError:
             return math.inf
     raise ValueError("closed form implemented for n in {1, 2} only")
@@ -198,7 +196,7 @@ def moment_scan(model: SpectrumModel, R: float, n: int, T: float,
         raise ValueError(f"horizon T={T} rounds to no grid step of {grid_dt}")
     rng = np.random.default_rng(seed)
     direction = sample_stationary(model, rng)
-    nrm = sobolev_norm(model, direction, model.m)
+    nrm = sobolev_norm(model, direction)
     if R > 0.0 and nrm == 0.0:
         raise ValueError("cannot scale a zero direction to positive radius")
     start = direction * (R / nrm) if R > 0.0 and nrm > 0.0 else np.zeros_like(direction)
@@ -225,7 +223,6 @@ def moment_scan(model: SpectrumModel, R: float, n: int, T: float,
 class StabilityReport:
     probability: float
     stderr: float
-    eps: float
     horizon: float
     norm_sq_mean: float     # ensemble mean of ||Z_T||^2_{X^m}
     norm_sq_closed: float   # its closed form
@@ -255,9 +252,8 @@ def stability_probe(model: SpectrumModel, eps: float, T: float, ensemble: int,
     hits = (dist < eps).astype(float)
     p = float(hits.mean())
     horizon, sq = n_steps * dt, dist ** 2
-    trace = np.real(np.trace(model.energy, axis1=1, axis2=2))
     # the sum over all sites is twice the sum over the pair rows
-    closed = 2.0 * float((model.sobolev_weight(model.m) * trace
+    closed = 2.0 * float((model.weight_m * model.trace
                           * -np.expm1(-2.0 * model.gamma * horizon)).sum())
     with np.errstate(over="ignore", invalid="ignore"):
         mean, se = float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(ensemble))
@@ -268,8 +264,7 @@ def stability_probe(model: SpectrumModel, eps: float, T: float, ensemble: int,
     z = (mean - closed) / se if se > 0.0 else 0.0
     return StabilityReport(probability=p,
                            stderr=float(hits.std(ddof=1) / math.sqrt(ensemble)),
-                           eps=float(eps), horizon=horizon,
-                           norm_sq_mean=mean, norm_sq_closed=closed, z=z)
+                           horizon=horizon, norm_sq_mean=mean, norm_sq_closed=closed, z=z)
 
 
 @dataclass

@@ -7,10 +7,11 @@ c(k) at k = model.k_pos.  The mirrors are implied, so fields are real by
 construction and a sum over all sites is 2 Re of the representative sum.
 A field is its coefficient array, of shape (..., n_pairs, d): one field or a
 stack of members, and every kernel takes (model, coeffs).  The module
-provides the Sobolev norms, exact Ornstein-Uhlenbeck stepping (one step
-equals the continuous transition kernel in law, for any step size; the decay
-semigroup alone is model.decay), the noiseless observation flow and the
-Galerkin splitting step for the noisy observation process.
+provides the norm of the phase space X^m, with m fixed by the model, exact
+Ornstein-Uhlenbeck stepping (one step equals the continuous transition kernel
+in law, for any step size; the decay semigroup alone is model.decay), the
+noiseless observation flow and the Galerkin splitting step for the noisy
+observation process.
 
 Stiff handling: per mode the linear part contributes an exact factor
 exp(-gamma(k) dt), so the Runge-Kutta stages here act on the integrating-
@@ -43,15 +44,14 @@ def _check_finite(coeffs: np.ndarray, what: str) -> None:
         raise NumericalFailure(f"non-finite coefficients after {what}")
 
 
-def _norm(model: SpectrumModel, coeffs: np.ndarray, r: float) -> np.ndarray:
-    """X^r norm over the leading axes; each representative stands for two sites."""
-    w = model.sobolev_weight(r)
-    return np.sqrt(2.0 * ((np.abs(coeffs) ** 2).sum(axis=-1) * w).sum(axis=-1))
+def _norm(model: SpectrumModel, coeffs: np.ndarray) -> np.ndarray:
+    """X^m norm over the leading axes; each representative stands for two sites."""
+    return np.sqrt(2.0 * ((np.abs(coeffs) ** 2).sum(axis=-1) * model.weight_m).sum(axis=-1))
 
 
-def sobolev_norm(model: SpectrumModel, coeffs: np.ndarray, r: float) -> float | np.ndarray:
-    """X^r norm sqrt(sum_k |k|^{2r} |c(k)|^2) over every lattice site, one per member."""
-    return _norm(model, coeffs, r)
+def sobolev_norm(model: SpectrumModel, coeffs: np.ndarray) -> float | np.ndarray:
+    """X^m norm sqrt(sum_k |k|^{2m} |c(k)|^2), m = model.m, over all sites; one per member."""
+    return _norm(model, coeffs)
 
 
 def origin_value(coeffs: np.ndarray) -> np.ndarray:
@@ -208,7 +208,7 @@ def ens_tile(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 
 def ens_norm_m(model: SpectrumModel, cpos: np.ndarray) -> np.ndarray:
-    return _norm(model, cpos, model.m)
+    return _norm(model, cpos)
 
 
 def ens_pair_noise(model: SpectrumModel, rng: np.random.Generator,
@@ -271,7 +271,7 @@ def ou_covariance_report(model: SpectrumModel, ensemble: int, lags: tuple,
     """
     rng = np.random.default_rng(seed)
     cpos0 = ens_pair_noise(model, rng, None, ensemble)
-    tr = np.real(np.trace(model.energy, axis1=1, axis2=2))
+    tr = model.trace
     # mirror sites carry conjugate statistics, so checking the top
     # representative pairs covers at least the _TOP_MODES sites
     sel = [i for i in np.lexsort((np.arange(tr.size), -tr))[:_TOP_MODES] if tr[i] > 0]

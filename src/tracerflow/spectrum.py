@@ -46,7 +46,6 @@ class SpectrumModel:
     """
 
     dimension: int
-    truncation: int
     m: int
     alpha: float
     wavevectors: np.ndarray        # (n_pairs, d) int, representatives in lex order
@@ -56,8 +55,9 @@ class SpectrumModel:
     k_norm: np.ndarray = field(default=None, repr=False)
     k_pos: np.ndarray = field(default=None, repr=False)
     sqrt_energy_pos: np.ndarray = field(default=None, repr=False)
+    weight_m: np.ndarray = field(default=None, repr=False)   # |k|^{2m}, the X^m weight
+    trace: np.ndarray = field(default=None, repr=False)      # Re Tr energy(k)
     _index: dict = field(default=None, repr=False)
-    _weight_m: np.ndarray = field(default=None, repr=False)
     _decay_cache: dict = field(default_factory=dict, repr=False)
     _noise_cache: dict = field(default_factory=dict, repr=False)
 
@@ -92,12 +92,6 @@ class SpectrumModel:
             self._noise_cache[dt] = out
         return out
 
-    def sobolev_weight(self, r: float) -> np.ndarray:
-        """|k|^{2r} per representative; the X^m weight is cached."""
-        if r == self.m:
-            return self._weight_m
-        return self.k_norm ** (2.0 * r)
-
 
 def _lattice(d: int, K: int) -> np.ndarray:
     """Pair representatives of the ball {0 < |k|_inf <= K} in lex order: the
@@ -119,7 +113,7 @@ def _h1_terms(gamma, k_norm, trace, m: int, alpha: float) -> np.ndarray:
     return gamma ** alpha * k_norm ** (2.0 * (m + 1)) * trace
 
 
-def _finalize(d: int, K: int, m: int, alpha: float, kv: np.ndarray,
+def _finalize(d: int, m: int, alpha: float, kv: np.ndarray,
               gamma: np.ndarray, energy: np.ndarray) -> SpectrumModel:
     """Validate the tables of the pair representatives (lex-sorted) and build
     the model.  The mirror of a Hermitian PSD energy is its conjugate, which
@@ -153,12 +147,12 @@ def _finalize(d: int, K: int, m: int, alpha: float, kv: np.ndarray,
     # roundoff are clipped at the PSD floor.
     w, v = np.linalg.eigh(energy)
     w = np.where(w > 0.0, w, 0.0)
-    return SpectrumModel(dimension=d, truncation=K, m=int(m), alpha=float(alpha),
+    return SpectrumModel(dimension=d, m=int(m), alpha=float(alpha),
                          wavevectors=kv, gamma=gamma, energy=energy,
                          k_norm=k_norm, k_pos=k_pos,
                          sqrt_energy_pos=np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj()),
-                         _index=dict(zip(keys, range(len(keys)))),
-                         _weight_m=weight_m)
+                         weight_m=weight_m, trace=trace,
+                         _index=dict(zip(keys, range(len(keys)))))
 
 
 def build_power_law_spectrum(d: int, K: int, sigma0: float, decay_p: float,
@@ -196,7 +190,7 @@ def build_power_law_spectrum(d: int, K: int, sigma0: float, decay_p: float,
     with np.errstate(over="ignore", invalid="ignore"):   # _finalize rejects inf and nan
         energy = (sigma0 * norm ** (-decay_p))[:, None, None] * proj
         gamma = gamma_coeff * norm ** gamma_power
-    return _finalize(d, K, m, alpha, kv, gamma, energy.astype(complex))
+    return _finalize(d, m, alpha, kv, gamma, energy.astype(complex))
 
 
 def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
@@ -238,7 +232,7 @@ def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
     kv = np.asarray(keys, dtype=int)
     gamma = np.asarray([table[k][0] for k in keys])
     energy = np.stack([table[k][1] for k in keys])
-    return _finalize(d, K, m, alpha, kv, gamma, energy)
+    return _finalize(d, m, alpha, kv, gamma, energy)
 
 
 def gamma_star(model: SpectrumModel) -> float:
@@ -254,8 +248,8 @@ def check_h1(model: SpectrumModel) -> float:
     at a truncation; callers compare values across truncations (a <10%
     change when K doubles is the convergence convention used by the CLI).
     """
-    tr = np.real(np.trace(model.energy, axis1=1, axis2=2))
-    return 2.0 * float(_h1_terms(model.gamma, model.k_norm, tr, model.m, model.alpha).sum())
+    return 2.0 * float(_h1_terms(model.gamma, model.k_norm, model.trace, model.m,
+                                 model.alpha).sum())
 
 
 def check_h2(model: SpectrumModel, t_max: float, quad_steps: int) -> float:

@@ -124,7 +124,7 @@ def run_lagrangian(model: SpectrumModel, T: float, dt: float,
         if step % record_every == 0 or step == n_steps:
             times[j], positions[j], displacements[j] = step * dt, x, disp
             velocities[j] = evaluate(model, field, x)
-            norms[j] = sobolev_norm(model, shift_field(model, field, x), model.m)
+            norms[j] = sobolev_norm(model, shift_field(model, field, x))
             j += 1
     return TrajectoryRecord(times=times, positions=positions,
                             displacements=displacements, velocities=velocities,

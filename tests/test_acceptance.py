@@ -92,12 +92,12 @@ def test_criterion_3_equality_in_law(model_k4):
     rec = run_lagrangian(m, T=2.0, dt=0.01, record_every=4, seed=MASTER_SEED + 2)
     rng = np.random.default_rng(MASTER_SEED + 2)
     f = sample_stationary(m, rng)
-    replay = [sobolev_norm(m, f, m.m)]
+    replay = [sobolev_norm(m, f)]
     for step in range(1, 201):
         f = ou_exact_step(m, f, 0.005, rng)
         f = ou_exact_step(m, f, 0.005, rng)
         if step % 4 == 0 or step == 200:
-            replay.append(sobolev_norm(m, f, m.m))
+            replay.append(sobolev_norm(m, f))
     pathwise = float(np.abs(rec.field_norms - np.asarray(replay)).max() /
                      np.abs(replay).max())
 
@@ -149,6 +149,34 @@ def test_criterion_5_lln_stokes_drift(tracer_ensemble):
             f"average variance decays (mean {mean.round(5).tolist()}, "
             f"3*stderr {(3 * stderr).round(5).tolist()}, var ratio {ratio:.3f}, "
             f"{wall:.0f}s)")
+
+
+def test_lagrangian_velocity_has_the_eulerian_one_point_law(model, tracer_ensemble):
+    """The velocity seen by a tracer in a stationary divergence-free field is
+    stationary with the Eulerian one-point law, so its mean square is
+    E|V(x)|^2 = sum over the lattice of Tr energy(k).  A tracer moved by -V
+    passes too: -V has the law of V."""
+    records, _ = tracer_ensemble
+    i5 = records[0].index_at(5.0)
+    per_run = np.array([(r.velocities[i5:] ** 2).sum(axis=1).mean() for r in records])
+    stderr = per_run.std(ddof=1) / math.sqrt(per_run.size)
+    z = (per_run.mean() - 2.0 * model.trace.sum()) / stderr
+    assert abs(z) <= 4.0, (per_run.mean(), stderr, z)
+
+
+def test_lagrangian_velocity_decorrelates_faster_than_the_eulerian(model, tracer_ensemble):
+    """The Lagrangian lag-1 correlation R_L(1), the time average of
+    v(t).v(t + 1) along a run, lies well below the Eulerian R_E(1) =
+    sum over the lattice of e^{-gamma(k)} Tr energy(k): a tracer that never
+    moved would read R_E.  A tracer moved by -V passes too, as -V has the law
+    of V."""
+    records, _ = tracer_ensemble
+    lag = records[0].index_at(1.0)
+    per_run = np.array([(r.velocities[:-lag] * r.velocities[lag:]).sum(axis=1).mean()
+                        for r in records])
+    stderr = per_run.std(ddof=1) / math.sqrt(per_run.size)
+    eulerian = 2.0 * float((np.exp(-model.gamma) * model.trace).sum())
+    assert per_run.mean() < eulerian - 6.0 * stderr, (per_run.mean(), stderr, eulerian)
 
 
 def test_criterion_6_coupling_equicontinuity(model):

@@ -3,10 +3,12 @@ import datetime
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +96,14 @@ def test_minimal_config_gets_documented_defaults():
     assert cfg.simulation.T == pytest.approx(10.0)
     assert cfg.spectrum.m == 3
     assert cfg.spectrum.alpha == pytest.approx(0.5)
+
+
+def test_readme_config_example_is_the_defaults():
+    # the README shows every key at its default; a changed default must change it too
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.DOTALL)
+    assert len(blocks) == 1, blocks
+    assert parse_config(blocks[0]) == parse_config('{"seed": 1}')
 
 
 def test_zero_dt_rejected_with_field_path():
@@ -548,7 +558,8 @@ def test_ergodic_probe_records_carry_the_simulated_horizon(small_cfg, tmp_path):
     base = json.loads(small_cfg.read_text())
     for simulation, horizons in [
             ({"T": 3.0, "dt": 0.3}, []),   # the probes' min(T, 2.0) rounds to 7 steps of 0.3
-            ({"T": 0.7, "dt": 0.01, "record_every": 1}, [0.35, 0.7])]:   # 70 * 0.01 != 0.7
+            ({"T": 0.7, "dt": 0.01, "record_every": 1}, [0.35, 0.7]),   # 70 * 0.01 != 0.7
+            ({"T": 0.25, "dt": 0.05}, [])]:   # the moment scan's 2.5 grid steps round to 2
         cfg = copy.deepcopy(base)
         cfg["simulation"].update(simulation)
         cfg["probe"].update(observable="velocity_at_origin", component=1,
@@ -561,6 +572,7 @@ def test_ergodic_probe_records_carry_the_simulated_horizon(small_cfg, tmp_path):
         run_T, probe_T = round(T / dt) * dt, round(min(T, 2.0) / dt) * dt
         want = {"occupation_fraction": [run_T], "occupation_window_min": [run_T],
                 "time_average": [run_T], "stability_probe": [probe_T],
+                "moment_scan": [round(min(T, 10.0) / 0.1) * 0.1],
                 "e_property": [probe_T, probe_T],
                 "lln_variance": [round(h / dt) * dt for h in horizons]}
         got = {}
@@ -627,6 +639,7 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("decay", "simulation", "seed", -5, "simulation.seed"),
     ("ergodic", "probe", "offsets", [0.25, 1.0], "probe.offsets"),
     ("ergodic", "probe", "offsets", [1.0, -0.5], "probe.offsets"),
+    ("ergodic", "probe", "offsets", [], "probe.offsets"),
     ("ergodic", "probe", "horizons", [-0.5, 0.5], "probe.horizons"),
     ("ergodic", "probe", "horizons", [1e-10, 1.0], "probe.horizons"),
     ("ergodic", "spectrum", "dimension", 1, "spectrum.projection"),
@@ -648,7 +661,7 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("validate", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
     ("tracer", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
     ("ergodic", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
-], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative",
+], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative", "offsets_empty",
         "horizon_negative", "horizon_at_step_0", "ergodic_d1", "decay_d1", "field_d1",
         "output_section",
         "offsets_string", "offsets_null", "offsets_numeric_string", "offsets_bool",

@@ -104,9 +104,8 @@ def test_measures_agree_with_the_full_table_sums(d, lead, seed):
     assert value.shape == want_value.shape
     assert_close(value, want_value, np.abs(full).sum(axis=-2))
 
-    for r in (0.0, 1.0, float(m.m)):
-        want = oracle_norm_sq(m, full, r)
-        assert_close(sobolev_norm(m, c, r) ** 2, want, want)
+    want = oracle_norm_sq(m, full, m.m)
+    assert_close(sobolev_norm(m, c) ** 2, want, want)
 
     assert_close(origin_value(c), oracle_origin(full), np.abs(full.real).sum(axis=-2))
 
