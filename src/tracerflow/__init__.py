@@ -16,7 +16,7 @@ from .ergodic import (ObservableSpec, ErgodicReport, occupation_fraction,
 from .chain import (contraction_map, climb_probability, ladder_weights,
                     ladder_survival_limit, exact_distribution,
                     kernel_power_profile, kernel_power_closed_form,
-                    simulate_paths)
+                    simulate_paths, mc_power_profile)
 from .config import (ExperimentConfig, ConfigError, parse_config,
                      serialize_config, config_hash)
 from ._ensemble import run_trajectory_ensemble

@@ -70,6 +70,21 @@ def simulate_paths(x0: float, n_steps: int, n_paths: int, seed: int):
     return states, ever_fell, visited_gap
 
 
+def mc_power_profile(x0: float, n_max: int, n_paths: int, seed):
+    """Monte-Carlo E[default_observable(X_n)] and its standard error for
+    n = 0..n_max, from one sweep of n_paths vectorized paths."""
+    # np.tanh is default_observable vectorized; the exact tree calls math.tanh
+    # per state, whose bits np.tanh need not reproduce.
+    vals = np.tanh(np.full(n_paths, float(x0)))
+    mean, stderr = np.empty((2, n_max + 1))
+    mean[0], stderr[0] = vals.mean(), 0.0
+    for n, (states, _) in enumerate(_paths(x0, n_max, n_paths, seed), 1):
+        mean[n] = np.tanh(states, out=vals).mean()   # std(ddof=1) reuses it
+        ss = np.square(np.subtract(vals, mean[n], out=vals), out=vals).sum()
+        stderr[n] = np.sqrt(ss / (n_paths - 1)) / math.sqrt(n_paths)
+    return mean, stderr
+
+
 def ladder_weights(x: float, n: int):
     """Ladder survival and exit weights up to horizon n.
 

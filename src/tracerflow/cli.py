@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from ._ensemble import run_trajectory_ensemble
-from .chain import (_paths, kernel_power_closed_form, kernel_power_profile,
-                    ladder_weights, default_observable)
+from .chain import (default_observable, kernel_power_closed_form, kernel_power_profile,
+                    ladder_weights, mc_power_profile)
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config
 from .ergodic import (MOMENT_GRID_DT, OBSERVABLE_KINDS, ObservableSpec,
                       e_property_probe, lln_test, moment_scan, stability_probe,
@@ -37,6 +37,9 @@ H2_QUAD_STEPS = 4000
 CONVERGENCE_RTOL = 0.10
 DECAY_TOL = 1e-6
 MAX_THREADS = 64   # --threads ceiling
+DECAY_T_MAX = 5.0          # horizon caps on simulation.T: the decay report,
+MOMENT_SCAN_T_MAX = 10.0   # the moment scan,
+PROBE_T_MAX = 2.0          # and the stability and e-property probes
 # Every random stream, named once and prefixed by its subcommand: stream i has spawn key
 # (i,), and its child j (an ensemble run, a coupling offset, a chain start) (i, j).
 STREAMS = ("field", "decay", "tracer", "ergodic.run", "ergodic.moment_scan",
@@ -152,10 +155,11 @@ def _cmd_field(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 def _cmd_decay(cfg: ExperimentConfig, out: str, threads: int) -> None:
     sim = cfg.simulation
-    if round(min(sim.T, 5.0) / sim.dt) < 1:
+    horizon = min(sim.T, DECAY_T_MAX)
+    if round(horizon / sim.dt) < 1:
         raise ConfigError(f"simulation.dt: {sim.dt} leaves no step in the decay horizon")
     rep = modulus_decay_report(_build_model(cfg), n_starts=sim.ensemble, dt=sim.dt,
-                               horizon=min(sim.T, 5.0), seed=_stream(cfg, "decay"))
+                               horizon=horizon, seed=_stream(cfg, "decay"))
     lines = [_probe_record(cfg, "modulus_decay_rel_error",
                            {"n_starts": rep["n_starts"], "dt": rep["dt"],
                             "horizon": rep["horizon"]},
@@ -195,9 +199,10 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
         raise ConfigError("probe.delta: required by the indicator_ball observable")
     if pr.observable == "velocity_at_origin" and not 0 <= pr.component < d:
         raise ConfigError(f"probe.component: {pr.component} is outside [0, {d - 1}]")
-    if round(min(sim.T, 10.0) / MOMENT_GRID_DT) < 1:
+    t_scan, t_probe = min(sim.T, MOMENT_SCAN_T_MAX), min(sim.T, PROBE_T_MAX)
+    if round(t_scan / MOMENT_GRID_DT) < 1:
         raise ConfigError(f"simulation.T: {sim.T} rounds to no moment-scan step")
-    if round(min(sim.T, 2.0) / sim.dt) < 1:
+    if round(t_probe / sim.dt) < 1:
         raise ConfigError(f"simulation.dt: {sim.dt} leaves no step in the probe horizon")
     horizons = [t for t in pr.horizons if t <= sim.T]
     if len(horizons) >= 2:   # lln_test reads them off runs recorded up to horizons[-1]
@@ -224,7 +229,7 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
                                {"observable": pr.observable, "T": summary.horizon},
                                summary.time_avg, summary.time_avg_stderr))
 
-    scan = moment_scan(model, pr.R, pr.n, T=min(sim.T, 10.0), ensemble=ens,
+    scan = moment_scan(model, pr.R, pr.n, T=t_scan, ensemble=ens,
                        seed=_stream(cfg, "ergodic.moment_scan"))
     lines.append(_probe_record(cfg, "moment_scan",
                                {"R": pr.R, "n": pr.n, "T": float(scan.times[-1]),
@@ -234,7 +239,7 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
     eps = pr.eps if pr.eps is not None else \
         3.0 * math.sqrt(stationary_norm_moment(model, 1))
-    stab = stability_probe(model, eps, T=min(sim.T, 2.0), ensemble=ens,
+    stab = stability_probe(model, eps, T=t_probe, ensemble=ens,
                            seed=_stream(cfg, "ergodic.stability"), dt=sim.dt)
     lines.append(_probe_record(cfg, "stability_probe",
                                {"eps": eps, "T": stab.horizon,
@@ -242,7 +247,7 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
                                 "norm_sq_closed": stab.norm_sq_closed, "z": stab.z},
                                stab.probability, stab.stderr))
 
-    coup = e_property_probe(model, pr.offsets, psi, T=min(sim.T, 2.0), ensemble=ens,
+    coup = e_property_probe(model, pr.offsets, psi, T=t_probe, ensemble=ens,
                             seed=_stream(cfg, "ergodic.coupling"), dt=sim.dt)
     for h, dval, se, t in zip(coup.offsets, coup.profile, coup.stderr, coup.t_argmax):
         lines.append(_probe_record(cfg, "e_property",
@@ -263,28 +268,17 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _cmd_chain(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    pr = cfg.probe
-    f = default_observable
-    rows = []
+    pr, f, rows = cfg.probe, default_observable, []
+    n_max = pr.chain_n_max
     for xi, x in enumerate(pr.chain_x):
-        n_max = pr.chain_n_max
         profile = kernel_power_profile(x, n_max, f)
-        stay = ladder_weights(x, n_max)[0] if x >= 1.0 else None
-        # one MC sweep records the running mean of f at every horizon
-        vals = np.tanh(np.full(pr.mc_paths, float(x)))
-        mc_mean, mc_se = np.empty((2, n_max + 1))
-        mc_mean[0], mc_se[0] = vals.mean(), 0.0
-        paths = _paths(x, n_max, pr.mc_paths, _stream(cfg, "chain", xi))
-        for n, (states, _) in enumerate(paths, 1):
-            mc_mean[n] = np.tanh(states, out=vals).mean()   # std(ddof=1) reuses it
-            ss = np.square(np.subtract(vals, mc_mean[n], out=vals), out=vals).sum()
-            mc_se[n] = np.sqrt(ss / (pr.mc_paths - 1)) / math.sqrt(pr.mc_paths)
+        stay = ladder_weights(x, n_max)[0] if x >= 1.0 else np.full(n_max + 1, math.nan)
+        mc_mean, mc_se = mc_power_profile(x, n_max, pr.mc_paths, _stream(cfg, "chain", xi))
         for n in range(1, n_max + 1):
-            closed = kernel_power_closed_form(x, n, f) if x >= 1.0 else float("nan")
-            h_n = float(stay[n]) if stay is not None else float("nan")
+            closed = kernel_power_closed_form(x, n, f) if x >= 1.0 else math.nan
             rows.append(",".join([repr(float(x)), str(n), repr(float(closed)),
                                   repr(float(profile[n])), repr(float(mc_mean[n])),
-                                  repr(float(mc_se[n])), repr(h_n)]))
+                                  repr(float(mc_se[n])), repr(float(stay[n]))]))
     _write_csv(out, _manifest(cfg, "chain"), ["x", "n", "closed", "exact", "mc",
                                         "mc_stderr", "H_n"], rows)
 

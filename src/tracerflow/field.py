@@ -3,8 +3,8 @@
 A real d-vector field V(xi) = sum_k c(k) e^{i k.xi}, c(-k) = conj(c(k)), over
 the sites of a :class:`~tracerflow.spectrum.SpectrumModel` (which has no k = 0
 site) is stored as one coefficient per conjugate pair: the representatives
-c(k) at k = model.k_pos.  The mirrors are implied, so fields are real by
-construction and a sum over all sites is 2 Re of the representative sum.
+c(k) at k = model.wavevectors.  The mirrors are implied, so fields are real
+by construction and a sum over all sites is 2 Re of the representative sum.
 A field is its coefficient array, of shape (..., n_pairs, d): one field or a
 stack of members, and every kernel takes (model, coeffs).  The module
 provides the norm of the phase space X^m, with m fixed by the model, exact
@@ -70,7 +70,7 @@ def evaluate(model: SpectrumModel, coeffs: np.ndarray, xi) -> np.ndarray:
     Exact at off-grid points; cost O(n_pairs).  The sum runs over the
     representatives and takes twice its real part, so the value is real.
     """
-    return _eval(coeffs, model.k_pos, np.asarray(xi, dtype=float))
+    return _eval(coeffs, model.wavevectors, np.asarray(xi, dtype=float))
 
 
 def _pair_draw(model: SpectrumModel, rng: np.random.Generator,
@@ -151,7 +151,7 @@ def noiseless_flow_step(model: SpectrumModel, coeffs: np.ndarray, dt: float) -> 
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    kt = model.k_pos.T
+    kt = model.wavevectors.T
     e_half = model.decay(dt / 2.0)
     e_full = model.decay(dt)
 
@@ -187,7 +187,7 @@ def ens_observation_step(model: SpectrumModel, cpos: np.ndarray, dt: float,
     taken before anything is written.
     """
     u = origin_value(cpos)                                  # (..., d)
-    phase = (u @ model.k_pos.T) * dt                        # (..., n_pairs)
+    phase = (u @ model.wavevectors.T) * dt                  # (..., n_pairs)
     factor = _phase_factor(phase, model.decay(dt))
     if out is None:
         out = np.empty(cpos.shape, dtype=complex)

@@ -12,9 +12,10 @@ against.  The zero wavevector is excluded (mean-zero fields) and the site
 at ``-k`` always carries the same rate and the conjugate energy so that
 sampled fields are real valued.  A model therefore keeps one row per
 conjugate pair, at its representative k (the lex-larger of k and -k); a
-sum over the full lattice is twice the sum over the rows.  The builders
-produce the representatives only; a mirror -k can enter only as an entry
-of :func:`spectrum_from_tables`, which maps it to its representative.
+sum over the full lattice is twice the sum over the rows, and a minimum or
+maximum over the rows is that over the lattice.  A model refuses any
+other row when it is built; a mirror -k can enter only as an entry of
+:func:`spectrum_from_tables`, which maps it to its representative.
 """
 
 from __future__ import annotations
@@ -35,31 +36,72 @@ class SpectrumError(ValueError):
 
 @dataclass
 class SpectrumModel:
-    """Immutable-by-convention container for the truncated field model.
-
-    Every table has one row per conjugate pair {k, -k}, at the representative
-    k, the upper half of the lex-sorted lattice sites; no builder makes the
-    other half.  The mirror -k carries the same gamma and the conjugate
-    energy, so a sum over every lattice site (the regularity functional, the
-    stationary moments) is twice the sum over the rows; minima and maxima
-    over the rows are those over the lattice.
-    """
+    """The truncated field model, one row per conjugate pair.  It checks its
+    tables and derives the per-row ones when it is built, so no model skips
+    the checks; the mirror -k of a row carries the same gamma and the
+    conjugate energy, so checking the rows covers every lattice site."""
 
     dimension: int
     m: int
     alpha: float
-    wavevectors: np.ndarray        # (n_pairs, d) int, representatives in lex order
+    wavevectors: np.ndarray        # (n_pairs, d) float, integer representatives
     gamma: np.ndarray              # (n_pairs,) float, all > 0
     energy: np.ndarray             # (n_pairs, d, d) complex Hermitian PSD
-    # derived by _finalize
-    k_norm: np.ndarray = field(default=None, repr=False)
-    k_pos: np.ndarray = field(default=None, repr=False)
-    sqrt_energy_pos: np.ndarray = field(default=None, repr=False)
-    weight_m: np.ndarray = field(default=None, repr=False)   # |k|^{2m}, the X^m weight
-    trace: np.ndarray = field(default=None, repr=False)      # Re Tr energy(k)
-    _index: dict = field(default=None, repr=False)
-    _decay_cache: dict = field(default_factory=dict, repr=False)
-    _noise_cache: dict = field(default_factory=dict, repr=False)
+    k_norm: np.ndarray = field(init=False, repr=False)
+    sqrt_energy_pos: np.ndarray = field(init=False, repr=False)
+    weight_m: np.ndarray = field(init=False, repr=False)   # |k|^{2m}, the X^m weight
+    trace: np.ndarray = field(init=False, repr=False)      # Re Tr energy(k)
+    _index: dict = field(init=False, repr=False)
+    _decay_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _noise_cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        d, m, alpha = int(self.dimension), int(self.m), float(self.alpha)
+        self.dimension, self.m, self.alpha = d, m, alpha
+        kv = self.wavevectors = np.asarray(self.wavevectors, dtype=float)
+        gamma = self.gamma = np.asarray(self.gamma, dtype=float)
+        energy = self.energy = np.asarray(self.energy, dtype=complex)
+        if kv.size == 0:
+            raise SpectrumError("the table is empty: a model needs at least one wavevector")
+        n = gamma.size
+        if (kv.shape, gamma.shape, energy.shape) != ((n, d), (n,), (n, d, d)):
+            raise SpectrumError(f"table shapes {kv.shape}, {gamma.shape} and {energy.shape} "
+                                f"are not (n, {d}), (n,) and (n, {d}, {d})")
+        _reject_first(~(np.isfinite(kv) & (kv == np.round(kv))).all(axis=1),
+                      lambda i: f"wavevector {tuple(kv[i].tolist())} is not integer")
+        keys = [tuple(row) for row in kv.astype(int).tolist()]
+        _reject_first(kv[np.arange(n), (kv != 0.0).argmax(axis=1)] <= 0.0,
+                      lambda i: f"wavevector {keys[i]} is zero or the mirror of a "
+                                "representative (its first nonzero coordinate must be > 0)")
+        self._index = dict(zip(keys, range(n)))   # a repeated key keeps its last row
+        _reject_first([self._index[key] != i for i, key in enumerate(keys)],
+                      lambda i: f"wavevector {keys[i]} is listed twice")
+        _reject_first(~(np.isfinite(gamma) & np.isfinite(energy).all(axis=(1, 2))),
+                      lambda i: f"gamma or energy at {keys[i]} is not finite")
+        _reject_first(gamma <= 0.0, lambda i: f"mixing rate at {keys[i]} is not positive")
+        scale = np.abs(energy).max(axis=(1, 2))
+        energy_h = energy.conj().swapaxes(1, 2)
+        herm = np.abs(energy - energy_h).max(axis=(1, 2))
+        _reject_first(herm > HERMITIAN_RTOL * scale,
+                      lambda i: f"energy at {keys[i]} not Hermitian (deviation {herm[i]:.3g})")
+        eig_min = np.linalg.eigvalsh(0.5 * (energy + energy_h)).min(axis=1)
+        trace = self.trace = np.real(np.trace(energy, axis1=1, axis2=2))
+        _reject_first(eig_min < -PSD_FLOOR_RTOL * np.maximum(trace, scale),
+                      lambda i: f"energy at {keys[i]} not PSD (min eig {eig_min[i]:.3g})")
+        k_norm = self.k_norm = np.sqrt((kv ** 2).sum(axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):   # a large m overflows
+            weight_m = self.weight_m = k_norm ** (2.0 * m)
+            h1_terms = _h1_terms(gamma, k_norm, trace, m, alpha)
+            h1 = 2.0 * h1_terms.sum()
+        _reject_first(~(np.isfinite(weight_m) & np.isfinite(h1_terms)),
+                      lambda i: f"X^m weight or H1 term at {keys[i]} is not finite (m = {m})")
+        if not np.isfinite(h1):
+            raise SpectrumError(f"H1 sum is not finite (m = {m})")
+        # Hermitian square roots; tiny negative eigenvalues from projector
+        # roundoff are clipped at the PSD floor.
+        w, v = np.linalg.eigh(energy)
+        w = np.where(w > 0.0, w, 0.0)
+        self.sqrt_energy_pos = np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj())
 
     @property
     def n_pairs(self) -> int:
@@ -113,48 +155,6 @@ def _h1_terms(gamma, k_norm, trace, m: int, alpha: float) -> np.ndarray:
     return gamma ** alpha * k_norm ** (2.0 * (m + 1)) * trace
 
 
-def _finalize(d: int, m: int, alpha: float, kv: np.ndarray,
-              gamma: np.ndarray, energy: np.ndarray) -> SpectrumModel:
-    """Validate the tables of the pair representatives (lex-sorted) and build
-    the model.  The mirror of a Hermitian PSD energy is its conjugate, which
-    is Hermitian PSD too, so checking the rows covers every lattice site."""
-    keys = [tuple(row) for row in kv.tolist()]
-    _reject_first(~(np.isfinite(gamma) & np.isfinite(energy).all(axis=(1, 2))),
-                  lambda i: f"gamma or energy at {keys[i]} is not finite")
-    if np.any(gamma <= 0.0):
-        raise SpectrumError("all mixing rates must be positive")
-    scale = np.abs(energy).max(axis=(1, 2))
-    energy_h = energy.conj().swapaxes(1, 2)
-    herm = np.abs(energy - energy_h).max(axis=(1, 2))
-    _reject_first(herm > HERMITIAN_RTOL * scale,
-                  lambda i: f"energy at {keys[i]} not Hermitian (deviation {herm[i]:.3g})")
-    eig_min = np.linalg.eigvalsh(0.5 * (energy + energy_h)).min(axis=1)
-    trace = np.real(np.trace(energy, axis1=1, axis2=2))
-    _reject_first(eig_min < -PSD_FLOOR_RTOL * np.maximum(trace, scale),
-                  lambda i: f"energy at {keys[i]} not PSD (min eig {eig_min[i]:.3g})")
-
-    k_pos = kv.astype(float)
-    k_norm = np.sqrt((k_pos ** 2).sum(axis=1))
-    with np.errstate(over="ignore", invalid="ignore"):   # a large m overflows
-        weight_m = k_norm ** (2.0 * int(m))
-        h1_terms = _h1_terms(gamma, k_norm, trace, int(m), float(alpha))
-        h1 = 2.0 * h1_terms.sum()
-    _reject_first(~(np.isfinite(weight_m) & np.isfinite(h1_terms)),
-                  lambda i: f"X^m weight or H1 term at {keys[i]} is not finite (m = {m})")
-    if not np.isfinite(h1):
-        raise SpectrumError(f"H1 sum is not finite (m = {m})")
-    # Hermitian square roots; tiny negative eigenvalues from projector
-    # roundoff are clipped at the PSD floor.
-    w, v = np.linalg.eigh(energy)
-    w = np.where(w > 0.0, w, 0.0)
-    return SpectrumModel(dimension=d, m=int(m), alpha=float(alpha),
-                         wavevectors=kv, gamma=gamma, energy=energy,
-                         k_norm=k_norm, k_pos=k_pos,
-                         sqrt_energy_pos=np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj()),
-                         weight_m=weight_m, trace=trace,
-                         _index=dict(zip(keys, range(len(keys)))))
-
-
 def build_power_law_spectrum(d: int, K: int, sigma0: float, decay_p: float,
                              projection: str, gamma_coeff: float,
                              gamma_power: float, m: int = 3,
@@ -168,29 +168,24 @@ def build_power_law_spectrum(d: int, K: int, sigma0: float, decay_p: float,
     """
     if d < 1:
         raise SpectrumError("dimension must be >= 1")
-    if K < 1:
-        raise SpectrumError("truncation must be >= 1")
     if sigma0 <= 0.0:
         raise SpectrumError("sigma0 must be positive")
-    if gamma_coeff <= 0.0:
-        raise SpectrumError("gamma_coeff must be positive")
     if gamma_power < 1.0:
         raise SpectrumError("gamma_power must be >= 1")
     if projection not in PROJECTIONS:
         raise SpectrumError(f"projection must be one of {PROJECTIONS}")
 
-    kv = _lattice(d, K)
-    kf = kv.astype(float)
-    norm2 = (kf ** 2).sum(axis=1)
+    kv = _lattice(d, K).astype(float)
+    norm2 = (kv ** 2).sum(axis=1)
     norm = np.sqrt(norm2)
 
-    outer = kf[:, :, None] * kf[:, None, :] / norm2[:, None, None]
+    outer = kv[:, :, None] * kv[:, None, :] / norm2[:, None, None]
     eye = np.broadcast_to(np.eye(d), outer.shape)
     proj = {"full": eye, "incompressible": eye - outer, "potential": outer}[projection]
-    with np.errstate(over="ignore", invalid="ignore"):   # _finalize rejects inf and nan
+    with np.errstate(over="ignore", invalid="ignore"):   # the model rejects inf and nan
         energy = (sigma0 * norm ** (-decay_p))[:, None, None] * proj
         gamma = gamma_coeff * norm ** gamma_power
-    return _finalize(d, m, alpha, kv, gamma, energy.astype(complex))
+    return SpectrumModel(d, m, alpha, kv, gamma, energy.astype(complex))
 
 
 def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
@@ -202,15 +197,11 @@ def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
     are listed their entries must agree.  Sites absent from the table do not
     exist in the model (the lattice ball need not be complete).
     """
-    if not entries:
-        raise SpectrumError("the table is empty: a model needs at least one wavevector")
     table, mirrored = {}, {}
     for k, (g, e) in entries.items():
         key = tuple(int(c) for c in k)
         if len(key) != d:
             raise SpectrumError(f"wavevector {key} has wrong dimension")
-        if all(c == 0 for c in key):
-            raise SpectrumError("zero wavevector not allowed")
         if max(abs(c) for c in key) > K:
             raise SpectrumError(f"wavevector {key} outside the truncation ball")
         e = np.asarray(e, dtype=complex).reshape(d, d)
@@ -229,10 +220,8 @@ def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
         if np.abs(table[key][1] - e).max() > HERMITIAN_RTOL * (1.0 + np.abs(e).max()):
             raise SpectrumError(f"energy({key}) is not the conjugate of energy({mirror})")
     keys = sorted(table)
-    kv = np.asarray(keys, dtype=int)
-    gamma = np.asarray([table[k][0] for k in keys])
-    energy = np.stack([table[k][1] for k in keys])
-    return _finalize(d, m, alpha, kv, gamma, energy)
+    return SpectrumModel(d, m, alpha, keys, [table[k][0] for k in keys],
+                         [table[k][1] for k in keys])
 
 
 def gamma_star(model: SpectrumModel) -> float:

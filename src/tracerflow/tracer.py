@@ -65,7 +65,7 @@ def shift_field(model: SpectrumModel, coeffs: np.ndarray, a) -> np.ndarray:
     Unit-modulus multipliers, so every X^r norm is preserved exactly.
     """
     a = np.asarray(a, dtype=float)
-    mult = np.exp(1j * (model.k_pos @ a))
+    mult = np.exp(1j * (model.wavevectors @ a))
     return coeffs * mult[:, None]
 
 
@@ -78,7 +78,7 @@ def advect_step(x: np.ndarray, model: SpectrumModel, coeffs: np.ndarray,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    k = model.k_pos
+    k = model.wavevectors
     half = ou_exact_step(model, coeffs, dt / 2.0, rng)
     full = ou_exact_step(model, half, dt / 2.0, rng)
     k1 = _eval(coeffs, k, x)

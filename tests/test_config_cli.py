@@ -339,13 +339,20 @@ def test_non_object_simulation_is_one_line_exit_1(tmp_path, simulation, override
 @pytest.mark.parametrize("text, override, needle", [
     ('{"seed": 1,', "3", "config is not valid JSON"),
     ('{"seed": 1}', "-1", "simulation.seed: must be >= 0"),
-], ids=["invalid_json", "negative_override"])
+    ('[{"seed": 1}]', "3", "config root must be a JSON object"),
+], ids=["invalid_json", "negative_override", "array_root"])
 def test_seed_override_errors_are_one_line_exit_1(tmp_path, text, override, needle):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     res = run_cli("validate", "--config", str(path), "--out",
                   str(tmp_path / "v.jsonl"), "--seed-override", override)
     assert_one_line_exit_1(res, needle)
+
+
+def test_unreadable_config_is_one_line_exit_1(tmp_path):
+    missing = tmp_path / "missing.json"
+    res = run_cli("validate", "--config", str(missing), "--out", str(tmp_path / "v.jsonl"))
+    assert_one_line_exit_1(res, "cannot read config", str(missing))
 
 
 @pytest.fixture
@@ -661,6 +668,7 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("validate", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
     ("tracer", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
     ("ergodic", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
+    ("validate", "spectrum", "projection", "sideways", "spectrum.projection"),
 ], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative", "offsets_empty",
         "horizon_negative", "horizon_at_step_0", "ergodic_d1", "decay_d1", "field_d1",
         "output_section",
@@ -668,7 +676,8 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
         "offsets_nan", "offsets_infinity", "horizons_string_second", "radius_negative",
         "energy_overflow_validate", "energy_overflow_tracer",
         "rate_overflow_validate", "rate_overflow_tracer",
-        "weight_overflow_validate", "weight_overflow_tracer", "weight_overflow_ergodic"])
+        "weight_overflow_validate", "weight_overflow_tracer", "weight_overflow_ergodic",
+        "projection_sideways"])
 def test_invalid_config_is_one_line_exit_1(small_cfg, tmp_path, subcommand, section,
                                            key, value, needle):
     cfg = json.loads(small_cfg.read_text())
@@ -785,6 +794,24 @@ def test_decay_step_longer_than_the_horizon_is_exit_1(tmp_path):
     res, out = run_tiny(tmp_path, "decay", simulation={"dt": 20.0, "T": 20.0})
     assert_one_line_exit_1(res, "simulation.dt", "20.0")
     assert not out.exists()
+
+
+def test_decay_error_above_the_tolerance_is_exit_3(tmp_path):
+    # at dt = 2.5 the RK4 phase stages carry the moduli far off the exact decay
+    res, out = run_tiny(tmp_path, "decay", simulation={"dt": 2.5, "T": 5.0})
+    assert res.returncode == 3, res.stderr
+    recs = [json.loads(ln) for ln in body_of(out)]
+    assert [r["probe"] for r in recs] == ["modulus_decay_rel_error", "norm_contraction_excess"]
+    error = recs[0]["estimate"]
+    assert res.stderr.splitlines() == [
+        f"check failed: per-mode modulus decay error {error:.3g} exceeds 1e-06"]
+
+
+def test_moment_order_without_a_closed_form_records_null(tmp_path):
+    res, out = run_tiny(tmp_path, "ergodic", probe={"n": 3})
+    assert res.returncode == 0, res.stderr
+    [scan] = [r for r in map(json.loads, body_of(out)) if r["probe"] == "moment_scan"]
+    assert scan["params"]["n"] == 3 and scan["params"]["stationary_value"] is None
 
 
 def test_ergodic_step_longer_than_the_probe_horizon_is_exit_1(tmp_path):

@@ -282,7 +282,7 @@ def _allocating_observation_step(model, cpos, dt, noise):
     """The stacked observation step as it was written before it could step
     in place: a fresh array per call, one broadcast multiply."""
     u = 2.0 * cpos.real.sum(axis=-2)
-    phase = (u @ model.k_pos.T) * dt
+    phase = (u @ model.wavevectors.T) * dt
     out = cpos * _phase_factor(phase, model.decay(dt))[:, :, None]
     out += noise
     return out

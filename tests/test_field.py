@@ -168,7 +168,7 @@ def test_ens_observation_step_in_place_is_the_out_of_place_step(
     noise = ens_pair_noise(m, rng, m.noise_scale(dt), n) if with_noise else np.zeros_like(cpos)
     ref = ens_observation_step(m, cpos, dt, noise)
     # the per-component multiply is the broadcast multiply, bit for bit
-    phase = (origin_value(cpos) @ m.k_pos.T) * dt
+    phase = (origin_value(cpos) @ m.wavevectors.T) * dt
     broadcast = cpos * _phase_factor(phase, m.decay(dt))[:, :, None]
     broadcast += noise
     assert ref.tobytes() == broadcast.tobytes()
@@ -326,7 +326,7 @@ def test_observation_step_noiseless_limit():
                                observation_noise(m, np.random.default_rng(0), 0.1))
     u = origin_value(f)
     gamma = m.gamma
-    phase = (u @ m.k_pos.T) * 0.1
+    phase = (u @ m.wavevectors.T) * 0.1
     expect = f * (np.exp(-gamma * 0.1) * (np.cos(phase) + 1j * np.sin(phase)))[:, None]
     np.testing.assert_array_equal(out, expect)
     decay = np.abs(f) * np.exp(-gamma * 0.1)[:, None]
@@ -381,7 +381,7 @@ def test_observation_step_is_the_field_seen_from_an_euler_tracer(d, projection):
     worst = 0.0
     for _ in range(400):
         x = x + origin_value(z) * dt
-        shift = np.exp(1j * (x @ m.k_pos.T))[..., None]
+        shift = np.exp(1j * (x @ m.wavevectors.T))[..., None]
         eta = ens_pair_noise(m, rng, scale, n)
         v = v * m.decay(dt)[:, None] + eta
         z = ens_observation_step(m, z, dt, eta * shift)
@@ -400,11 +400,11 @@ def test_pointwise_bound_from_norm(small_model):
     c_const = 2.0 * float(((1.0 + m.k_norm) * m.k_norm ** (-float(m.m))).sum())
     grid = np.stack(np.meshgrid(*(2 * [np.linspace(0, 2 * math.pi, 64, endpoint=False)]),
                                 indexing="ij"), axis=-1).reshape(-1, 2)
-    phases = np.exp(1j * (grid @ m.k_pos.T))             # (points, n_pairs)
+    phases = np.exp(1j * (grid @ m.wavevectors.T))             # (points, n_pairs)
     rng = np.random.default_rng(12)
     for _ in range(100):
         f = sample_stationary(m, rng)
         vals = 2.0 * np.real(phases @ f)                 # (points, d)
-        jac = 2.0 * np.real(1j * np.einsum("ps,si,sj->pij", phases, f, m.k_pos))
+        jac = 2.0 * np.real(1j * np.einsum("ps,si,sj->pij", phases, f, m.wavevectors))
         total = np.linalg.norm(vals, axis=1) + np.linalg.norm(jac, axis=(1, 2))
         assert total.max() <= c_const * sobolev_norm(m, f) * (1 + 1e-12)

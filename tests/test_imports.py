@@ -1,6 +1,7 @@
 """Every imported name is read somewhere in its module, every private
 module-level function or class in ``src/`` is read by some ``src/`` module,
 and every public one by some module under ``src/``, ``tests/`` or ``bench/``.
+No ``src/`` module imports another's private names, but for one listed pair.
 
 Package ``__init__`` modules are exempt from the first check: their imports
 are the re-exported public names.
@@ -99,3 +100,37 @@ def test_no_unused_public_definitions():
     unread = [(p.relative_to(ROOT).as_posix(), name) for p in SRC
               for name in sorted(public_definitions(p.read_text()) - read)]
     assert unread == []
+
+
+# tracer steps call field._eval directly: a call through the public evaluate
+# would add to evaluate's call count, which the bench's run trace records.
+ALLOWED_PRIVATE_IMPORTS = {("tracerflow.tracer", "tracerflow.field", "_eval")}
+
+
+def private_imports(source: str, module: str) -> set[tuple[str, str, str]]:
+    """(importer, module, name) for each private name that module imports
+    from a module of its own package, by a relative or an absolute import."""
+    package = module.rsplit(".", 1)[0]
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source_module = (".".join(filter(None, [package, node.module])) if node.level == 1
+                         else node.module)
+        if source_module.split(".")[0] == package:
+            found.update((module, source_module, alias.name) for alias in node.names
+                         if alias.name.startswith("_") and not alias.name.startswith("__"))
+    return found
+
+
+def test_the_scan_sees_a_private_import():
+    source = ("from .field import _eval, evaluate\nfrom . import __version__\n"
+              "from pkg.chain import _paths\nfrom numpy import _core\n")
+    assert private_imports(source, "pkg.tracer") == {("pkg.tracer", "pkg.field", "_eval"),
+                                                     ("pkg.tracer", "pkg.chain", "_paths")}
+
+
+def test_no_private_imports_across_src_modules():
+    found = set().union(*(private_imports(p.read_text(), ".".join(
+        p.relative_to(ROOT / "src").with_suffix("").parts)) for p in SRC))
+    assert found - ALLOWED_PRIVATE_IMPORTS == set()

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tracerflow import (SpectrumError, build_power_law_spectrum, check_h1,
+from tracerflow import (SpectrumError, SpectrumModel, build_power_law_spectrum, check_h1,
                         check_h2, covariance_oracle, gamma_star, h2_tail_bound,
                         spectrum_from_tables, stationary_norm_moment)
 from tracerflow import spectrum
@@ -138,6 +138,38 @@ def test_mode_table_validation_rejects_bad_energy():
         spectrum_from_tables(2, 1, {(1, 0): (1.0, herm), (-1, 0): (1.0, herm)})
 
 
+_I2 = np.eye(2)
+
+
+@pytest.mark.parametrize("wavevectors, gamma, energy, message", [
+    ([[1, 0], [0, 1]], [1.0, -1.0], [_I2, _I2], "mixing rate at (0, 1) is not positive"),
+    ([[1, 0], [0, 1]], [1.0, 1.0], [_I2, [[1.0, 2.0], [0.0, 1.0]]],
+     "energy at (0, 1) not Hermitian"),
+    ([[1, 0], [0, 1]], [1.0, 1.0], [_I2, [[1.0, 0.0], [0.0, -1.0]]],
+     "energy at (0, 1) not PSD"),
+    ([[1, 0], [-1, 0]], [1.0, 1.0], [_I2, _I2], "wavevector (-1, 0) is zero or the mirror"),
+    ([[1, 0], [0, 0]], [1.0, 1.0], [_I2, _I2], "wavevector (0, 0) is zero or the mirror"),
+    ([[1, 0], [1, 0]], [1.0, 1.0], [_I2, _I2], "wavevector (1, 0) is listed twice"),
+    (np.empty((0, 2)), [], np.empty((0, 2, 2)), "the table is empty"),
+    ([[1, 0], [0, 1]], [1.0], [_I2, _I2], "table shapes (2, 2), (1,) and (2, 2, 2)"),
+    ([[1, 0], [0.5, 1]], [1.0, 1.0], [_I2, _I2], "wavevector (0.5, 1.0) is not integer"),
+], ids=["gamma_negative", "not_hermitian", "not_psd", "pair_listed_twice", "zero_k",
+        "repeated_row", "empty", "shapes_disagree", "not_integer"])
+def test_a_directly_built_model_rejects_bad_tables(wavevectors, gamma, energy, message):
+    with pytest.raises(SpectrumError, match=re.escape(message)):
+        SpectrumModel(2, 3, 0.5, wavevectors, gamma, energy)
+
+
+def test_a_directly_built_model_is_the_builders_model(default_model):
+    m = default_model
+    again = SpectrumModel(m.dimension, m.m, m.alpha, m.wavevectors.astype(int), m.gamma,
+                          m.energy)
+    assert again._index == m._index
+    for name in ("wavevectors", "gamma", "energy", "k_norm", "sqrt_energy_pos",
+                 "weight_m", "trace"):
+        assert getattr(again, name).tobytes() == getattr(m, name).tobytes()
+
+
 def test_builder_rejections():
     good = (2, 2, 1.0, 14.0, "full", 1.0, 2.0)
     for args in [(0, 2, 1.0, 14.0, "full", 1.0, 2.0),
@@ -185,7 +217,7 @@ def _per_site_tables(kv, gamma, energy):
     w = np.where(w > 0.0, w, 0.0)
     sqrt_energy = np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj())
     rows = {tuple(int(c) for c in kv[i]): r for r, i in enumerate(pos)}
-    return rows, (kv[pos], gamma[pos], energy[pos], kv[pos].astype(float), sqrt_energy)
+    return rows, (kv[pos].astype(float), gamma[pos], energy[pos], sqrt_energy)
 
 
 def _full_lattice_tables(kv, gamma, energy):
@@ -209,19 +241,13 @@ def _complex_hermitian_model():
     (d, K, p) for d in (1, 2, 3) for K in (1, 3, 8)
     for p in ("full", "incompressible", "potential")
     if not (d == 1 and p == "incompressible")] + [("tables", None, None)])
-def test_vectorised_build_is_the_per_site_loop(monkeypatch, d, K, projection):
-    inputs, finalize = [], spectrum._finalize
-    monkeypatch.setattr(spectrum, "_finalize",
-                        lambda *args: inputs.append(args[3:]) or finalize(*args))
+def test_vectorised_build_is_the_per_site_loop(d, K, projection):
     m = (_complex_hermitian_model() if d == "tables" else
          build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0))
-    (kv, gamma, energy), = inputs   # the representatives' tables
-    assert kv.shape[0] == m.n_pairs
-    rows, tables = _per_site_tables(*_full_lattice_tables(kv, gamma, energy))
+    rows, tables = _per_site_tables(*_full_lattice_tables(m.wavevectors, m.gamma, m.energy))
     assert m._index == rows
     assert [type(k[0]) for k in m._index] == [int] * len(rows)
-    for got, want in zip((m.wavevectors, m.gamma, m.energy, m.k_pos,
-                          m.sqrt_energy_pos), tables):
+    for got, want in zip((m.wavevectors, m.gamma, m.energy, m.sqrt_energy_pos), tables):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -242,7 +268,7 @@ def test_listed_mirrors_give_the_model_of_their_representatives():
     for entries in (reps, {**mirrors, **reps}, mirrors):
         m = spectrum_from_tables(2, 2, entries)
         assert m._index == alone._index
-        for name in ("wavevectors", "gamma", "energy", "k_pos", "k_norm",
+        for name in ("wavevectors", "gamma", "energy", "k_norm",
                      "sqrt_energy_pos", "weight_m", "trace"):
             got, want = getattr(m, name), getattr(alone, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
