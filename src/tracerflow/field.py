@@ -26,7 +26,7 @@ import numpy as np
 
 from .spectrum import SpectrumModel
 
-_SQRT2 = np.sqrt(2.0)
+_RSQRT2 = 1.0 / np.sqrt(2.0)
 _DECAY_CHECKPOINTS = 20   # modulus_decay_report compares at about this many times
 _TOP_MODES = 10           # sites checked by ou_covariance_report
 
@@ -75,19 +75,20 @@ def evaluate(model: SpectrumModel, coeffs: np.ndarray, xi) -> np.ndarray:
 
 def _pair_draw(model: SpectrumModel, rng: np.random.Generator,
                scale: np.ndarray | None, lead_shape: tuple) -> np.ndarray:
-    """The pair-noise draw, bitwise equal to the einsum "pij,...pj->...pi" of
-    (re + 1j im) / sqrt(2) (numpy's complex / real is a multiply by
-    1 / real), summed into zeros one (lead, n_pairs) slab at a time."""
-    z = rng.standard_normal(lead_shape + (model.n_pairs, model.dimension, 2))
-    z *= 1.0 / _SQRT2
-    w = z.view(complex)[..., 0]
-    eta = np.zeros(w.shape, dtype=complex)
+    """The pair-noise draw: standard normals of shape lead_shape +
+    (n_pairs, r, 2), read as r complex normals re + 1j im per pair and
+    combined with the factor L * scale / sqrt(2), the einsum
+    "pir,...pr->...pi".  The first term is written, not added to zeros, so
+    a zero product keeps its sign."""
+    factor = model.noise_factor * (_RSQRT2 if scale is None else scale[:, None, None] * _RSQRT2)
+    r = factor.shape[-1]
+    w = rng.standard_normal(lead_shape + (model.n_pairs, r, 2)).view(complex)[..., 0]
+    eta = np.empty(w.shape[:-1] + (model.dimension,), dtype=complex)
     for i in range(model.dimension):
-        acc = eta[..., i]
-        for j in range(model.dimension):
-            acc += model.sqrt_energy_pos[:, i, j] * w[..., j]
-        if scale is not None:
-            acc *= scale
+        out = eta[..., i]
+        np.multiply(factor[:, i, 0], w[..., 0], out=out)
+        for j in range(1, r):
+            out += factor[:, i, j] * w[..., j]
     return eta
 
 
@@ -99,7 +100,8 @@ def pair_noise(model: SpectrumModel, rng: np.random.Generator,
     scale^2 * energy(k) as second-moment matrix (scale=None means 1); the
     mirror is implied, so the field perturbation is real.  Pseudo-covariance
     is zero by construction.  Draw contract: one rng.standard_normal call of
-    shape lead_shape + (n_pairs, d, 2), consumed in order.
+    shape lead_shape + (n_pairs, r, 2), consumed in order, where r is the
+    rank of the model's noise factor (model.noise_factor).
     """
     return _pair_draw(model, rng, scale, lead_shape)
 

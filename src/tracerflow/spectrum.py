@@ -34,12 +34,13 @@ class SpectrumError(ValueError):
     """Invalid spectrum construction or lookup."""
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectrumModel:
     """The truncated field model, one row per conjugate pair.  It checks its
     tables and derives the per-row ones when it is built, so no model skips
     the checks; the mirror -k of a row carries the same gamma and the
-    conjugate energy, so checking the rows covers every lattice site."""
+    conjugate energy, so checking the rows covers every lattice site.
+    Models compare by identity."""
 
     dimension: int
     m: int
@@ -48,7 +49,7 @@ class SpectrumModel:
     gamma: np.ndarray              # (n_pairs,) float, all > 0
     energy: np.ndarray             # (n_pairs, d, d) complex Hermitian PSD
     k_norm: np.ndarray = field(init=False, repr=False)
-    sqrt_energy_pos: np.ndarray = field(init=False, repr=False)
+    noise_factor: np.ndarray = field(init=False, repr=False)   # (n_pairs, d, r), L L^H = energy
     weight_m: np.ndarray = field(init=False, repr=False)   # |k|^{2m}, the X^m weight
     trace: np.ndarray = field(init=False, repr=False)      # Re Tr energy(k)
     _index: dict = field(init=False, repr=False)
@@ -86,7 +87,8 @@ class SpectrumModel:
                       lambda i: f"energy at {keys[i]} not Hermitian (deviation {herm[i]:.3g})")
         eig_min = np.linalg.eigvalsh(0.5 * (energy + energy_h)).min(axis=1)
         trace = self.trace = np.real(np.trace(energy, axis1=1, axis2=2))
-        _reject_first(eig_min < -PSD_FLOOR_RTOL * np.maximum(trace, scale),
+        floor = PSD_FLOOR_RTOL * np.maximum(trace, scale)
+        _reject_first(eig_min < -floor,
                       lambda i: f"energy at {keys[i]} not PSD (min eig {eig_min[i]:.3g})")
         k_norm = self.k_norm = np.sqrt((kv ** 2).sum(axis=1))
         with np.errstate(over="ignore", invalid="ignore"):   # a large m overflows
@@ -97,11 +99,7 @@ class SpectrumModel:
                       lambda i: f"X^m weight or H1 term at {keys[i]} is not finite (m = {m})")
         if not np.isfinite(h1):
             raise SpectrumError(f"H1 sum is not finite (m = {m})")
-        # Hermitian square roots; tiny negative eigenvalues from projector
-        # roundoff are clipped at the PSD floor.
-        w, v = np.linalg.eigh(energy)
-        w = np.where(w > 0.0, w, 0.0)
-        self.sqrt_energy_pos = np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj())
+        self.noise_factor = _noise_factor(energy, floor)
 
     @property
     def n_pairs(self) -> int:
@@ -148,6 +146,32 @@ def _reject_first(bad: np.ndarray, message) -> None:
     hits = np.flatnonzero(bad)
     if hits.size:
         raise SpectrumError(message(int(hits[0])))
+
+
+def _noise_factor(energy: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Pivoted Cholesky factor L of each energy matrix, L L^H = energy, of
+    shape (n_pairs, d, r) (Higham 1990).  Pass p pivots on the largest real
+    diagonal entry of the residual (the first on ties) and takes its column
+    over the root of the pivot; a pivot at or below the row's PSD floor
+    gives a zero column, so projector roundoff adds no rank.  r is the
+    largest number of pivots over the rows, at least 1.  L depends on the
+    energy alone, and it is real when the energy is real."""
+    n, d, _ = energy.shape
+    rows = np.arange(n)
+    residual = energy.copy()
+    cols = np.zeros((n, d, d), dtype=complex)
+    rank = np.zeros(n, dtype=int)
+    for p in range(d):
+        diag = np.real(np.diagonal(residual, axis1=1, axis2=2))
+        j = diag.argmax(axis=1)
+        pivot = diag[rows, j]
+        live = pivot > floor
+        col = residual[rows, :, j] / np.sqrt(np.where(live, pivot, 1.0))[:, None]
+        col[~live] = 0.0
+        cols[:, :, p] = col
+        residual -= col[:, :, None] * col[:, None, :].conj()
+        rank += live
+    return cols[:, :, :max(1, int(rank.max()))].copy()
 
 
 def _h1_terms(gamma, k_norm, trace, m: int, alpha: float) -> np.ndarray:
@@ -204,7 +228,10 @@ def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
             raise SpectrumError(f"wavevector {key} has wrong dimension")
         if max(abs(c) for c in key) > K:
             raise SpectrumError(f"wavevector {key} outside the truncation ball")
-        e = np.asarray(e, dtype=complex).reshape(d, d)
+        e = np.asarray(e, dtype=complex)
+        if e.size != d * d:
+            raise SpectrumError(f"energy at {key} has {e.size} entries, not {d}x{d}")
+        e = e.reshape(d, d)
         mirror = tuple(-c for c in key)
         if key > mirror:
             table[key] = (float(g), e)

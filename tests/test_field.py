@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -116,30 +117,58 @@ def test_stationary_pseudo_covariance_vanishes(full_k2_model):
 
 
 def _einsum_pair_draw(model, seed, scale, lead_shape):
-    """The representative-slice draw written as the plain formula."""
-    z = np.random.default_rng(seed).standard_normal(
-        lead_shape + (model.n_pairs, model.dimension, 2))
-    w = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-    eta = np.einsum("pij,...pj->...pi", model.sqrt_energy_pos, w)
-    return eta if scale is None else eta * scale[:, None]
+    """The representative-slice draw written as the plain formula, and as the
+    same products summed over r from the first term rather than from zero."""
+    factor = model.noise_factor * ((1.0 if scale is None else scale[:, None, None])
+                                   * (1.0 / np.sqrt(2.0)))
+    r = factor.shape[-1]
+    z = np.random.default_rng(seed).standard_normal(lead_shape + (model.n_pairs, r, 2))
+    w = z[..., 0] + 1j * z[..., 1]
+    terms = [factor[:, :, j] * w[..., j, None] for j in range(r)]
+    return np.einsum("pir,...pr->...pi", factor, w), functools.reduce(np.add, terms)
 
 
 @pytest.mark.parametrize("d, K, projection", [(1, 8, "full"),
                                               (2, 8, "incompressible"),
-                                              (3, 2, "incompressible")])
+                                              (3, 2, "incompressible"),
+                                              (3, 2, "full")])
 @pytest.mark.parametrize("dt", [None, 0.01])
 def test_pair_draw_is_bitwise_the_einsum_formula(d, K, projection, dt):
-    # incompressible energies have exact zeros, so signed zeros are compared too
+    # incompressible energies have exact zeros; einsum sums into zeros, so a
+    # zero product keeps its sign only in the first-term sum
     m = build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0)
     scale = None if dt is None else m.noise_scale(dt)
     n = 5
-    ref = _einsum_pair_draw(m, 7, scale, (n,))
+    formula, ref = _einsum_pair_draw(m, 7, scale, (n,))
     full = pair_noise(m, np.random.default_rng(7), scale, (n,))
     ens = ens_pair_noise(m, np.random.default_rng(7), scale, n)
+    assert np.array_equal(ens, formula)
     assert ens.tobytes() == ref.tobytes()
     assert full.tobytes() == ens.tobytes()
     one = pair_noise(m, np.random.default_rng(7), scale)
-    assert one.tobytes() == _einsum_pair_draw(m, 7, scale, ()).tobytes()
+    assert one.tobytes() == _einsum_pair_draw(m, 7, scale, ())[1].tobytes()
+
+
+_FACTOR_RANK = {"full": lambda d: d, "incompressible": lambda d: max(1, d - 1),
+                "potential": lambda d: 1}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("projection", ["full", "incompressible", "potential"])
+def test_noise_factor_spans_the_energy(d, projection):
+    m = build_power_law_spectrum(d, 8 if d < 3 else 3, 1.0, 14.0, projection, 1.0, 2.0)
+    factor = m.noise_factor
+    r = _FACTOR_RANK[projection](d)
+    assert factor.shape == (m.n_pairs, d, r)
+    assert not factor.imag.any()
+    span = np.einsum("pir,pjr->pij", factor, factor.conj())
+    assert (np.abs(span - m.energy).max(axis=(1, 2))
+            <= 1e-15 * np.abs(m.energy).max(axis=(1, 2))).all()
+    for lead in [(), (4,)]:
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        pair_noise(m, rng, m.noise_scale(0.01), lead)
+        ref.standard_normal(math.prod(lead) * m.n_pairs * r * 2)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("with_noise", [False, True])

@@ -165,7 +165,7 @@ def test_a_directly_built_model_is_the_builders_model(default_model):
     again = SpectrumModel(m.dimension, m.m, m.alpha, m.wavevectors.astype(int), m.gamma,
                           m.energy)
     assert again._index == m._index
-    for name in ("wavevectors", "gamma", "energy", "k_norm", "sqrt_energy_pos",
+    for name in ("wavevectors", "gamma", "energy", "k_norm", "noise_factor",
                  "weight_m", "trace"):
         assert getattr(again, name).tobytes() == getattr(m, name).tobytes()
 
@@ -189,13 +189,29 @@ def test_psd_tolerance_accepts_projector_roundoff():
     assert 2 * m.n_pairs == 5 ** 3 - 1
 
 
+def _pivoted_cholesky(e, floor):
+    """Columns of the pivoted Cholesky factor of one energy matrix: pivot on
+    the largest real diagonal entry of the residual (the first on ties)
+    while it is above the floor."""
+    res, cols = e.copy(), []
+    for _ in range(e.shape[0]):
+        diag = np.real(np.diag(res))
+        j = int(np.argmax(diag))
+        if not diag[j] > floor:
+            break
+        col = res[:, j] / np.sqrt(diag[j])
+        cols.append(col)
+        res = res - np.outer(col, col.conj())
+    return cols
+
+
 def _per_site_tables(kv, gamma, energy):
     """The per-site validation and pairing loop the model build used to run
     on the full lattice tables, kept as the reference for its vectorised
     form.  Returns the row of each representative (the lex-larger of k and
     -k) and the representatives' tables."""
     index = {tuple(int(c) for c in row): i for i, row in enumerate(kv)}
-    pos = []
+    pos, factors = [], {}
     for i, row in enumerate(kv):
         key = tuple(int(c) for c in row)
         mirror = tuple(-c for c in key)
@@ -205,19 +221,24 @@ def _per_site_tables(kv, gamma, energy):
         assert np.abs(energy[j] - e.conj()).max() <= \
             HERMITIAN_RTOL * (1.0 + np.abs(e).max())
         scale = float(np.abs(e).max(initial=0.0))
+        floor = 0.0
         if scale > 0.0:
             assert np.abs(e - e.conj().T).max() <= HERMITIAN_RTOL * scale
             eigs = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
             trace = float(np.real(np.trace(e)))
-            assert eigs.min() >= -PSD_FLOOR_RTOL * max(trace, scale)
+            floor = PSD_FLOOR_RTOL * max(trace, scale)
+            assert eigs.min() >= -floor
         if key > mirror:
             pos.append(i)
+            factors[i] = _pivoted_cholesky(e, floor)
     pos = np.asarray(pos, dtype=int)
-    w, v = np.linalg.eigh(energy[pos])
-    w = np.where(w > 0.0, w, 0.0)
-    sqrt_energy = np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj())
+    rank = max(1, max(len(cols) for cols in factors.values()))
+    factor = np.zeros((pos.size, kv.shape[1], rank), dtype=complex)
+    for r, i in enumerate(pos):
+        for c, col in enumerate(factors[i]):
+            factor[r, :, c] = col
     rows = {tuple(int(c) for c in kv[i]): r for r, i in enumerate(pos)}
-    return rows, (kv[pos].astype(float), gamma[pos], energy[pos], sqrt_energy)
+    return rows, (kv[pos].astype(float), gamma[pos], energy[pos], factor)
 
 
 def _full_lattice_tables(kv, gamma, energy):
@@ -247,7 +268,7 @@ def test_vectorised_build_is_the_per_site_loop(d, K, projection):
     rows, tables = _per_site_tables(*_full_lattice_tables(m.wavevectors, m.gamma, m.energy))
     assert m._index == rows
     assert [type(k[0]) for k in m._index] == [int] * len(rows)
-    for got, want in zip((m.wavevectors, m.gamma, m.energy, m.sqrt_energy_pos), tables):
+    for got, want in zip((m.wavevectors, m.gamma, m.energy, m.noise_factor), tables):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -269,7 +290,7 @@ def test_listed_mirrors_give_the_model_of_their_representatives():
         m = spectrum_from_tables(2, 2, entries)
         assert m._index == alone._index
         for name in ("wavevectors", "gamma", "energy", "k_norm",
-                     "sqrt_energy_pos", "weight_m", "trace"):
+                     "noise_factor", "weight_m", "trace"):
             got, want = getattr(m, name), getattr(alone, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -285,6 +306,17 @@ def test_tables_reject_non_finite_entries(gamma, energy):
 def test_empty_table_is_a_spectrum_error():
     with pytest.raises(SpectrumError, match="the table is empty"):
         spectrum_from_tables(2, 1, {})
+
+
+def test_an_energy_entry_of_the_wrong_size_is_a_spectrum_error():
+    with pytest.raises(SpectrumError, match=re.escape("energy at (1, 0) has 9 entries, not 2x2")):
+        spectrum_from_tables(2, 1, {(1, 0): (1.0, np.eye(3))})
+
+
+def test_models_compare_by_identity():
+    a, b = (build_power_law_spectrum(2, 2, 1.0, 14.0, "full", 1.0, 2.0) for _ in range(2))
+    assert (a == b) is False
+    assert a == a
 
 
 def test_large_m_is_rejected_without_a_numpy_warning():
