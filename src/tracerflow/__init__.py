@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .spectrum import (SpectrumModel, SpectrumError,
-                       build_power_law_spectrum, spectrum_from_tables,
-                       gamma_star, check_h1, check_h2, h2_tail_bound)
+                       build_power_law_spectrum, gamma_star, check_h1, check_h2, h2_tail_bound)
 from .field import (NumericalFailure, zero_field, sobolev_norm, evaluate,
                     origin_value, sample_stationary, ou_exact_step,
                     covariance_oracle, noiseless_flow_step)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._ensemble import run_trajectory_ensemble
+from ._ensemble import child_seeds, run_trajectory_ensemble
 from .chain import (default_observable, kernel_power_closed_form, kernel_power_profile,
                     ladder_weights, mc_power_profile)
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config
@@ -41,7 +41,7 @@ DECAY_T_MAX = 5.0          # horizon caps on simulation.T: the decay report,
 MOMENT_SCAN_T_MAX = 10.0   # the moment scan,
 PROBE_T_MAX = 2.0          # and the stability and e-property probes
 # Every random stream, named once and prefixed by its subcommand: stream i has spawn key
-# (i,), and its child j (an ensemble run, a coupling offset, a chain start) (i, j).
+# (i,), and _ensemble.child_seeds makes its children (runs, coupling offsets, chain starts).
 STREAMS = ("field", "decay", "tracer", "ergodic.run", "ergodic.moment_scan",
            "ergodic.stability", "ergodic.coupling", "ergodic.lln", "chain")
 
@@ -58,10 +58,9 @@ def _build_model(cfg: ExperimentConfig, truncation: int | None = None):
                                     m=sp.m, alpha=sp.alpha)
 
 
-def _stream(cfg: ExperimentConfig, name: str, *index: int) -> np.random.SeedSequence:
-    """The seed of the named stream, or of its child index."""
-    return np.random.SeedSequence(cfg.simulation.seed,
-                                  spawn_key=(STREAMS.index(name), *index))
+def _stream(cfg: ExperimentConfig, name: str) -> np.random.SeedSequence:
+    """The seed of the named stream."""
+    return np.random.SeedSequence(cfg.simulation.seed, spawn_key=(STREAMS.index(name),))
 
 
 def _manifest(cfg: ExperimentConfig, subcommand: str) -> dict:
@@ -270,10 +269,10 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
 def _cmd_chain(cfg: ExperimentConfig, out: str, threads: int) -> None:
     pr, f, rows = cfg.probe, default_observable, []
     n_max = pr.chain_n_max
-    for xi, x in enumerate(pr.chain_x):
+    for x, seed in zip(pr.chain_x, child_seeds(_stream(cfg, "chain"), len(pr.chain_x))):
         profile = kernel_power_profile(x, n_max, f)
         stay = ladder_weights(x, n_max)[0] if x >= 1.0 else np.full(n_max + 1, math.nan)
-        mc_mean, mc_se = mc_power_profile(x, n_max, pr.mc_paths, _stream(cfg, "chain", xi))
+        mc_mean, mc_se = mc_power_profile(x, n_max, pr.mc_paths, seed)
         for n in range(1, n_max + 1):
             closed = kernel_power_closed_form(x, n, f) if x >= 1.0 else math.nan
             rows.append(",".join([repr(float(x)), str(n), repr(float(closed)),

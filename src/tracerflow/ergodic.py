@@ -230,7 +230,7 @@ class StabilityReport:
 
 
 def stability_probe(model: SpectrumModel, eps: float, T: float, ensemble: int,
-                    seed: int, dt: float = 1e-3) -> StabilityReport:
+                    seed: int, dt: float) -> StabilityReport:
     """Fraction of noisy runs from the zero field staying eps-close in X^m to
     the noiseless flow from the zero field at T.  That flow stays zero, so the
     distance is ||Z_T||; its mean square is compared with the closed form
@@ -277,7 +277,7 @@ class CouplingReport:
 
 
 def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
-                     T: float, ensemble: int, seed: int, dt: float = 1e-3,
+                     T: float, ensemble: int, seed: int, dt: float,
                      record_stride: int = 10) -> CouplingReport:
     """Shared-noise coupling estimate of sup_t |P_t psi(0) - P_t psi(h v)|.
 

@@ -14,8 +14,9 @@ sampled fields are real valued.  A model therefore keeps one row per
 conjugate pair, at its representative k (the lex-larger of k and -k); a
 sum over the full lattice is twice the sum over the rows, and a minimum or
 maximum over the rows is that over the lattice.  A model refuses any
-other row when it is built; a mirror -k can enter only as an entry of
-:func:`spectrum_from_tables`, which maps it to its representative.
+other row when it is built.  A model from explicit tables is
+``SpectrumModel(dimension, m, alpha, wavevectors, gamma, energy)``, one row
+per representative; :func:`build_power_law_spectrum` builds the power-law one.
 """
 
 from __future__ import annotations
@@ -210,45 +211,6 @@ def build_power_law_spectrum(d: int, K: int, sigma0: float, decay_p: float,
         energy = (sigma0 * norm ** (-decay_p))[:, None, None] * proj
         gamma = gamma_coeff * norm ** gamma_power
     return SpectrumModel(d, m, alpha, kv, gamma, energy.astype(complex))
-
-
-def spectrum_from_tables(d: int, K: int, entries: dict, m: int = 3,
-                         alpha: float = 0.5) -> SpectrumModel:
-    """Model from an explicit {wavevector: (gamma, energy)} table.
-
-    A site may be listed as k or as its mirror -k; a listed -k enters the
-    model at its representative k with the conjugate energy, and when both
-    are listed their entries must agree.  Sites absent from the table do not
-    exist in the model (the lattice ball need not be complete).
-    """
-    table, mirrored = {}, {}
-    for k, (g, e) in entries.items():
-        key = tuple(int(c) for c in k)
-        if len(key) != d:
-            raise SpectrumError(f"wavevector {key} has wrong dimension")
-        if max(abs(c) for c in key) > K:
-            raise SpectrumError(f"wavevector {key} outside the truncation ball")
-        e = np.asarray(e, dtype=complex)
-        if e.size != d * d:
-            raise SpectrumError(f"energy at {key} has {e.size} entries, not {d}x{d}")
-        e = e.reshape(d, d)
-        mirror = tuple(-c for c in key)
-        if key > mirror:
-            table[key] = (float(g), e)
-        else:
-            mirrored[mirror] = (float(g), e.conj())
-    for key, (g, e) in sorted(mirrored.items()):
-        if key not in table:
-            table[key] = (g, e)
-            continue
-        mirror = tuple(-c for c in key)
-        if g != table[key][0]:
-            raise SpectrumError(f"gamma({mirror}) != gamma({key})")
-        if np.abs(table[key][1] - e).max() > HERMITIAN_RTOL * (1.0 + np.abs(e).max()):
-            raise SpectrumError(f"energy({key}) is not the conjugate of energy({mirror})")
-    keys = sorted(table)
-    return SpectrumModel(d, m, alpha, keys, [table[k][0] for k in keys],
-                         [table[k][1] for k in keys])
 
 
 def gamma_star(model: SpectrumModel) -> float:

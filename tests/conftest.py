@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from tracerflow import build_power_law_spectrum, spectrum_from_tables
+from tracerflow import SpectrumModel, build_power_law_spectrum
 
 ACCEPTANCE_LINES = []
 
@@ -44,14 +44,14 @@ def model_of_dimension(d):
 def single_pair_model(k=(1, 0), gamma=1.0, energy=None, d=2, m=3, alpha=0.5):
     if energy is None:
         energy = np.eye(d)
-    K = max(abs(c) for c in k)
-    return spectrum_from_tables(d, K, {tuple(k): (gamma, energy)}, m=m, alpha=alpha)
+    return SpectrumModel(d, m, alpha, [k], [gamma], [energy])
 
 
-def zero_energy_model(gammas=None, d=2, K=1):
-    entries = gammas or {(1, 0): 1.0, (0, 1): 1.0}
-    table = {k: (g, np.zeros((d, d))) for k, g in entries.items()}
-    return spectrum_from_tables(d, K, table)
+def zero_energy_model(gammas=None, d=2):
+    gammas = gammas or {(1, 0): 1.0, (0, 1): 1.0}
+    keys = sorted(gammas)
+    return SpectrumModel(d, 3, 0.5, keys, [gammas[k] for k in keys],
+                         np.zeros((len(keys), d, d)))
 
 
 def pair_row(model, k) -> int:

@@ -1,6 +1,7 @@
 """Every imported name is read somewhere in its module, every private
 module-level function or class in ``src/`` is read by some ``src/`` module,
-and every public one by some module under ``src/``, ``tests/`` or ``bench/``.
+and every public one by some module under ``src/``, ``tests/`` or ``bench/``;
+a public one that no ``src/`` module reads is a listed test oracle.
 No ``src/`` module imports another's private names, but for one listed pair.
 
 Package ``__init__`` modules are exempt from the first check: their imports
@@ -100,6 +101,32 @@ def test_no_unused_public_definitions():
     unread = [(p.relative_to(ROOT).as_posix(), name) for p in SRC
               for name in sorted(public_definitions(p.read_text()) - read)]
     assert unread == []
+
+
+# Public src/ definitions that no src/ module reads; each is kept as a test's oracle.
+TEST_ORACLES = {
+    "exact_distribution": "the chain's atoms after n steps; criterion 8 reads the ladder mass",
+    "ladder_survival_limit": "the closed-form limit of the ladder survival; criterion 8",
+    "simulate_paths": "Monte-Carlo chain paths against the exact tree; criterion 8",
+    "covariance_oracle": "the closed-form lag-h mode covariance and its mirror conjugate",
+    "displacement_identity_gap": "criterion 4: the displacement is the velocity's integral",
+}
+
+
+def unread_public_definitions(sources: list[str]) -> set[str]:
+    """Public module-level definitions of the sources that none of them reads."""
+    read = set().union(*map(names_read, sources))
+    return set().union(*map(public_definitions, sources)) - read
+
+
+def test_the_scan_sees_a_public_definition_only_tests_read():
+    sources = ["def oracle(): pass\ndef used(): pass\n", "from .a import used\nused()\n"]
+    assert unread_public_definitions(sources) == {"oracle"}
+
+
+def test_public_definitions_no_src_module_reads_are_test_oracles():
+    src = [p.read_text() for p in MODULES if p.is_relative_to(ROOT / "src")]
+    assert unread_public_definitions(src) - TEST_ORACLES.keys() == set()
 
 
 # tracer steps call field._eval directly: a call through the public evaluate

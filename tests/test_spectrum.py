@@ -8,7 +8,7 @@ import pytest
 
 from tracerflow import (SpectrumError, SpectrumModel, build_power_law_spectrum, check_h1,
                         check_h2, covariance_oracle, gamma_star, h2_tail_bound,
-                        spectrum_from_tables, stationary_norm_moment)
+                        stationary_norm_moment)
 from tracerflow import spectrum
 from tracerflow.spectrum import HERMITIAN_RTOL, PSD_FLOOR_RTOL
 from conftest import full_sites, pair_row, single_pair_model
@@ -55,10 +55,8 @@ def test_gamma_star_single_pair():
 
 
 def test_gamma_star_enumeration_order_invariant():
-    entries = {(1, 0): (1.5, np.eye(2)), (0, 1): (0.7, 2 * np.eye(2)),
-               (1, 1): (3.0, np.eye(2))}
-    a = spectrum_from_tables(2, 1, entries)
-    b = spectrum_from_tables(2, 1, dict(reversed(list(entries.items()))))
+    rows = [((1, 0), 1.5, np.eye(2)), ((0, 1), 0.7, 2 * np.eye(2)), ((1, 1), 3.0, np.eye(2))]
+    a, b = (SpectrumModel(2, 3, 0.5, *zip(*order)) for order in (rows, rows[::-1]))
     assert gamma_star(a) == gamma_star(b) == 0.7
 
 
@@ -120,29 +118,15 @@ def test_energy_mirror_is_exact_conjugate(default_model):
         assert np.array_equal(covariance_oracle(m, 0.0, -k), e.conj())
 
 
-def test_mode_table_validation_rejects_bad_energy():
-    with pytest.raises(SpectrumError):
-        spectrum_from_tables(2, 1, {(1, 0): (1.0, np.array([[1.0, 2.0], [0.0, 1.0]]))})
-    with pytest.raises(SpectrumError):
-        spectrum_from_tables(2, 1, {(1, 0): (1.0, np.array([[1.0, 0], [0, -1.0]]))})
-    with pytest.raises(SpectrumError):
-        spectrum_from_tables(2, 1, {(1, 0): (0.0, np.eye(2))})  # gamma > 0
-    with pytest.raises(SpectrumError):
-        spectrum_from_tables(2, 1, {(0, 0): (1.0, np.eye(2))})
-    # k and -k both listed, with mismatched entries
-    with pytest.raises(SpectrumError, match=re.escape("gamma((-1, 0)) != gamma((1, 0))")):
-        spectrum_from_tables(2, 1, {(1, 0): (1.0, np.eye(2)), (-1, 0): (2.0, np.eye(2))})
-    herm = np.array([[1.0, 1j], [-1j, 1.0]])   # Hermitian and PSD, but not real
-    with pytest.raises(SpectrumError, match=re.escape(
-            "energy((1, 0)) is not the conjugate of energy((-1, 0))")):
-        spectrum_from_tables(2, 1, {(1, 0): (1.0, herm), (-1, 0): (1.0, herm)})
-
-
 _I2 = np.eye(2)
 
 
 @pytest.mark.parametrize("wavevectors, gamma, energy, message", [
     ([[1, 0], [0, 1]], [1.0, -1.0], [_I2, _I2], "mixing rate at (0, 1) is not positive"),
+    ([[1, 0], [0, 1]], [1.0, 0.0], [_I2, _I2], "mixing rate at (0, 1) is not positive"),
+    ([[1, 0], [0, 1]], [1.0, math.inf], [_I2, _I2], "gamma or energy at (0, 1) is not finite"),
+    ([[1, 0], [0, 1]], [1.0, 1.0], [_I2, [[math.nan, 0.0], [0.0, 1.0]]],
+     "gamma or energy at (0, 1) is not finite"),
     ([[1, 0], [0, 1]], [1.0, 1.0], [_I2, [[1.0, 2.0], [0.0, 1.0]]],
      "energy at (0, 1) not Hermitian"),
     ([[1, 0], [0, 1]], [1.0, 1.0], [_I2, [[1.0, 0.0], [0.0, -1.0]]],
@@ -152,9 +136,11 @@ _I2 = np.eye(2)
     ([[1, 0], [1, 0]], [1.0, 1.0], [_I2, _I2], "wavevector (1, 0) is listed twice"),
     (np.empty((0, 2)), [], np.empty((0, 2, 2)), "the table is empty"),
     ([[1, 0], [0, 1]], [1.0], [_I2, _I2], "table shapes (2, 2), (1,) and (2, 2, 2)"),
+    ([[1, 0]], [1.0], [np.eye(3)], "table shapes (1, 2), (1,) and (1, 3, 3)"),
     ([[1, 0], [0.5, 1]], [1.0, 1.0], [_I2, _I2], "wavevector (0.5, 1.0) is not integer"),
-], ids=["gamma_negative", "not_hermitian", "not_psd", "pair_listed_twice", "zero_k",
-        "repeated_row", "empty", "shapes_disagree", "not_integer"])
+], ids=["gamma_negative", "gamma_zero", "gamma_inf", "energy_nan", "not_hermitian",
+        "not_psd", "pair_listed_twice", "zero_k", "repeated_row", "empty", "shapes_disagree",
+        "energy_3x3", "not_integer"])
 def test_a_directly_built_model_rejects_bad_tables(wavevectors, gamma, energy, message):
     with pytest.raises(SpectrumError, match=re.escape(message)):
         SpectrumModel(2, 3, 0.5, wavevectors, gamma, energy)
@@ -251,11 +237,11 @@ def _full_lattice_tables(kv, gamma, energy):
 
 
 def _complex_hermitian_model():
-    return spectrum_from_tables(2, 2, {
-        (1, 0): (1.0, [[2.0, 1j], [-1j, 1.0]]),
-        (0, 1): (2.0, [[1.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]]),
-        (1, -2): (3.0, [[1.0, -0.3j], [0.3j, 0.5]]),
-        (-2, 2): (0.5, np.eye(2))})
+    """Four complex-Hermitian rows in lex order, as the per-site reference
+    lists them."""
+    return SpectrumModel(2, 3, 0.5, [(0, 1), (1, -2), (1, 0), (2, -2)], [2.0, 3.0, 1.0, 0.5],
+                         [[[1.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]], [[1.0, -0.3j], [0.3j, 0.5]],
+                          [[2.0, 1j], [-1j, 1.0]], np.eye(2)])
 
 
 @pytest.mark.parametrize("d, K, projection", [
@@ -281,36 +267,11 @@ def test_lattice_is_the_upper_half_of_the_product_lattice(d, K):
     assert kv.dtype.kind == "i" and kv.tolist() == [list(k) for k in sites]
 
 
-def test_listed_mirrors_give_the_model_of_their_representatives():
-    alone = _complex_hermitian_model()
-    reps = {tuple(k): (g, e) for k, g, e in
-            zip(alone.wavevectors.tolist(), alone.gamma, alone.energy)}
-    mirrors = {tuple(-c for c in k): (g, e.conj()) for k, (g, e) in reps.items()}
-    for entries in (reps, {**mirrors, **reps}, mirrors):
-        m = spectrum_from_tables(2, 2, entries)
-        assert m._index == alone._index
-        for name in ("wavevectors", "gamma", "energy", "k_norm",
-                     "noise_factor", "weight_m", "trace"):
-            got, want = getattr(m, name), getattr(alone, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("gamma, energy", [
-    (math.inf, np.eye(2)), (1.0, [[math.nan, 0.0], [0.0, 1.0]])],
-    ids=["gamma_inf", "energy_nan"])
-def test_tables_reject_non_finite_entries(gamma, energy):
-    with pytest.raises(SpectrumError, match=re.escape("at (0, 1) is not finite")):
-        spectrum_from_tables(2, 1, {(1, 0): (1.0, np.eye(2)), (0, 1): (gamma, energy)})
-
-
 def test_empty_table_is_a_spectrum_error():
+    """Empty tables given as plain, shapeless lists meet the emptiness check,
+    not a shape or index error."""
     with pytest.raises(SpectrumError, match="the table is empty"):
-        spectrum_from_tables(2, 1, {})
-
-
-def test_an_energy_entry_of_the_wrong_size_is_a_spectrum_error():
-    with pytest.raises(SpectrumError, match=re.escape("energy at (1, 0) has 9 entries, not 2x2")):
-        spectrum_from_tables(2, 1, {(1, 0): (1.0, np.eye(3))})
+        SpectrumModel(2, 3, 0.5, [], [], [])
 
 
 def test_models_compare_by_identity():
@@ -328,7 +289,7 @@ def test_large_m_is_rejected_without_a_numpy_warning():
                 "X^m weight or H1 term at (0, 3) is not finite (m = 400)")):
             build_power_law_spectrum(2, 4, 1.0, 14.0, "incompressible", 1.0, 2.0, m=400)
         with pytest.raises(SpectrumError, match="H1 sum is not finite"):
-            spectrum_from_tables(2, 1, {(1, 0): (1e300, 0.5e158 * np.eye(2))})
+            SpectrumModel(2, 3, 0.5, [(1, 0)], [1e300], [0.5e158 * np.eye(2)])
         build_power_law_spectrum(2, 4, 1.0, 14.0, "incompressible", 1.0, 2.0, m=200)
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from tracerflow import (advect_step, evaluate, run_lagrangian,
-                        sample_stationary, shift_field, sobolev_norm,
-                        stokes_drift_estimate)
+from tracerflow import (advect_step, build_power_law_spectrum, evaluate, run_lagrangian,
+                        run_trajectory_ensemble, sample_stationary, shift_field,
+                        sobolev_norm, stokes_drift_estimate)
 from tracerflow.field import ou_exact_step
 from tracerflow.tracer import (TrajectoryRecord, csv_columns,
                                displacement_identity_gap,
@@ -232,3 +232,24 @@ def test_run_validates_arguments(small_model):
         run_lagrangian(small_model, T=0.5, dt=1.0, record_every=1, seed=0)
     with pytest.raises(ValueError):
         run_lagrangian(small_model, T=1.0, dt=0.1, record_every=0, seed=0)
+
+
+def test_tracers_in_a_potential_field_see_less_than_the_eulerian_speed():
+    """In a compressible (potential) field the Eulerian law is not invariant
+    for the field seen from the tracer: tracers gather where the flow
+    converges, and the speed there is low.  The statistic is the mean over
+    32 runs of each run's trapezoid time average of |v|^2 over t in [5, 10];
+    it lies more than 10 standard errors below the Eulerian E|V(x)|^2 = sum
+    over the lattice of Tr energy(k) = 4.0316, which a divergence-free field
+    gives.  A tracer that does not move sees the Eulerian law and fails; a
+    tracer moved by -V passes, as -V has the law of V."""
+    model = build_power_law_spectrum(2, 4, 1.0, 14.0, "potential", 1.0, 2.0)
+    records = run_trajectory_ensemble(model, T=10.0, dt=0.02, record_every=1,
+                                      master_seed=4242, n_runs=32, threads=2)
+    i5 = records[0].index_at(5.0)
+    per_run = np.array([np.trapezoid((r.velocities[i5:] ** 2).sum(axis=1), r.times[i5:])
+                        / (r.times[-1] - r.times[i5]) for r in records])
+    stderr = per_run.std(ddof=1) / math.sqrt(per_run.size)
+    eulerian = 2.0 * float(model.trace.sum())
+    z = (per_run.mean() - eulerian) / stderr
+    assert z < -10.0, (per_run.mean(), stderr, eulerian, z)
