@@ -6,7 +6,7 @@ from .spectrum import (SpectrumModel, SpectrumError,
                        build_power_law_spectrum, gamma_star, check_h1, check_h2, h2_tail_bound)
 from .field import (NumericalFailure, zero_field, sobolev_norm, evaluate,
                     origin_value, sample_stationary, ou_exact_step,
-                    covariance_oracle, noiseless_flow_step)
+                    noiseless_flow_step)
 from .tracer import (TrajectoryRecord, shift_field, advect_step, run_lagrangian,
                      stokes_drift_estimate, displacement_identity_gap)
 from .ergodic import (ObservableSpec, ErgodicReport, occupation_fraction,

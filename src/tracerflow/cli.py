@@ -21,7 +21,7 @@ from ._ensemble import child_seeds, run_trajectory_ensemble
 from .chain import (default_observable, kernel_power_closed_form, kernel_power_profile,
                     ladder_weights, mc_power_profile)
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config
-from .ergodic import (MOMENT_GRID_DT, OBSERVABLE_KINDS, ObservableSpec,
+from .ergodic import (MOMENT_GRID_DT, ObservableSpec,
                       e_property_probe, lln_test, moment_scan, stability_probe,
                       stationary_norm_moment, summarize_run)
 from .field import NumericalFailure, modulus_decay_report, ou_covariance_report
@@ -191,13 +191,7 @@ def _cmd_tracer(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    sim, pr, d = cfg.simulation, cfg.probe, cfg.spectrum.dimension
-    if pr.observable not in OBSERVABLE_KINDS:
-        raise ConfigError(f"probe.observable: must be one of {'|'.join(OBSERVABLE_KINDS)}")
-    if pr.observable == "indicator_ball" and pr.delta is None:
-        raise ConfigError("probe.delta: required by the indicator_ball observable")
-    if pr.observable == "velocity_at_origin" and not 0 <= pr.component < d:
-        raise ConfigError(f"probe.component: {pr.component} is outside [0, {d - 1}]")
+    sim, pr = cfg.simulation, cfg.probe
     t_scan, t_probe = min(sim.T, MOMENT_SCAN_T_MAX), min(sim.T, PROBE_T_MAX)
     if round(t_scan / MOMENT_GRID_DT) < 1:
         raise ConfigError(f"simulation.T: {sim.T} rounds to no moment-scan step")

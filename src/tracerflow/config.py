@@ -8,6 +8,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .chain import MAX_EXACT_DEPTH
+from .ergodic import OBSERVABLE_KINDS
 
 
 class ConfigError(ValueError):
@@ -179,6 +180,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("simulation.seed: required (wall-clock seeding is not allowed)")
     if sim.seed < 0:
         raise ConfigError("simulation.seed: must be >= 0")
+    if pr.observable not in OBSERVABLE_KINDS:
+        raise ConfigError(f"probe.observable: must be one of {'|'.join(OBSERVABLE_KINDS)}")
+    if pr.observable == "indicator_ball" and pr.delta is None:
+        raise ConfigError("probe.delta: required by the indicator_ball observable")
+    if pr.observable == "velocity_at_origin" and not 0 <= pr.component < sp.dimension:
+        raise ConfigError(f"probe.component: {pr.component} is outside "
+                          f"[0, {sp.dimension - 1}]")
     if pr.R < 0:
         raise ConfigError("probe.R: must be >= 0")
     if pr.n < 1:

@@ -335,7 +335,7 @@ class LLNReport:
 
 
 def lln_test(model: SpectrumModel, psi: ObservableSpec, horizons, ensemble: int,
-             seed: int, dt: float = 1e-2, record_every: int = 1,
+             seed: int, dt: float, record_every: int = 1,
              threads: int = 1) -> LLNReport:
     """Ensemble variance of the time average of psi at nested horizons.
 

@@ -132,16 +132,6 @@ def ou_exact_step(model: SpectrumModel, coeffs: np.ndarray, dt: float,
     return _ou(model, coeffs, dt, noise)
 
 
-def covariance_oracle(model: SpectrumModel, h: float, k) -> np.ndarray:
-    """Closed-form lag-h mode covariance exp(-gamma(k) h) energy(k); a mirror
-    site carries the conjugate of its representative's."""
-    if h < 0.0:
-        raise ValueError("lag must be nonnegative")
-    i, mirrored = model._lookup(k)
-    cov = np.exp(-model.gamma[i] * h) * model.energy[i]
-    return cov.conj() if mirrored else cov
-
-
 def noiseless_flow_step(model: SpectrumModel, coeffs: np.ndarray, dt: float) -> np.ndarray:
     """One step of the noiseless observation flow c' = (-gamma + i u(t).k) c.
 

@@ -32,7 +32,7 @@ PROJECTIONS = ("full", "incompressible", "potential")
 
 
 class SpectrumError(ValueError):
-    """Invalid spectrum construction or lookup."""
+    """Invalid spectrum construction."""
 
 
 @dataclass(eq=False)
@@ -53,7 +53,6 @@ class SpectrumModel:
     noise_factor: np.ndarray = field(init=False, repr=False)   # (n_pairs, d, r), L L^H = energy
     weight_m: np.ndarray = field(init=False, repr=False)   # |k|^{2m}, the X^m weight
     trace: np.ndarray = field(init=False, repr=False)      # Re Tr energy(k)
-    _index: dict = field(init=False, repr=False)
     _decay_cache: dict = field(default_factory=dict, init=False, repr=False)
     _noise_cache: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -75,8 +74,8 @@ class SpectrumModel:
         _reject_first(kv[np.arange(n), (kv != 0.0).argmax(axis=1)] <= 0.0,
                       lambda i: f"wavevector {keys[i]} is zero or the mirror of a "
                                 "representative (its first nonzero coordinate must be > 0)")
-        self._index = dict(zip(keys, range(n)))   # a repeated key keeps its last row
-        _reject_first([self._index[key] != i for i, key in enumerate(keys)],
+        first = {}   # the first row of each key
+        _reject_first([first.setdefault(key, i) != i for i, key in enumerate(keys)],
                       lambda i: f"wavevector {keys[i]} is listed twice")
         _reject_first(~(np.isfinite(gamma) & np.isfinite(energy).all(axis=(1, 2))),
                       lambda i: f"gamma or energy at {keys[i]} is not finite")
@@ -105,17 +104,6 @@ class SpectrumModel:
     @property
     def n_pairs(self) -> int:
         return self.wavevectors.shape[0]
-
-    def _lookup(self, k) -> tuple[int, bool]:
-        """Row of the pair holding site k, and whether k is the mirror -k of
-        the row's representative."""
-        key = tuple(int(c) for c in np.atleast_1d(k))
-        mirror = tuple(-c for c in key)
-        if key in self._index:
-            return self._index[key], False
-        if mirror in self._index:
-            return self._index[mirror], True
-        raise SpectrumError(f"wavevector {key} not in model")
 
     def decay(self, dt: float) -> np.ndarray:
         """exp(-gamma*dt) per conjugate-pair representative, memoized on dt (hot path)."""

@@ -55,14 +55,18 @@ def zero_energy_model(gammas=None, d=2):
 
 
 def pair_row(model, k) -> int:
-    """Row of the representative slice that holds the pair {k, -k}."""
-    return model._lookup(k)[0]
+    """Row of the representative slice that holds the pair {k, -k}: the row
+    whose wavevector is k or -k."""
+    kv, k = model.wavevectors, np.asarray(k, dtype=float)
+    (row,) = np.flatnonzero((kv == k).all(axis=1) | (kv == -k).all(axis=1))
+    return int(row)
 
 
 def pair_field(model, k, coeff):
     """Coefficients of the field with `coeff` at k and the conjugate at -k."""
     c = np.zeros((model.n_pairs, model.dimension), dtype=complex)
-    row, mirrored = model._lookup(k)
+    row = pair_row(model, k)
+    mirrored = not np.array_equal(model.wavevectors[row], k)
     c[row] = np.conj(coeff) if mirrored else coeff
     return c
 

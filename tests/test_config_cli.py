@@ -546,17 +546,28 @@ def test_lln_horizon_off_the_record_grid_is_exit_1(small_cfg, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("probe, needle", [
-    ({"observable": "bogus"}, "probe.observable"),
-    ({"observable": "indicator_ball"}, "probe.delta"),
-    ({"observable": "velocity_at_origin", "component": 5}, "probe.component"),
-], ids=["bogus", "ball_without_delta", "component_5_at_d2"])
-def test_ergodic_observable_config_is_exit_1(small_cfg, tmp_path, probe, needle):
+_BAD_OBSERVABLES = [
+    ("bogus", {"observable": "bogus"}, "probe.observable"),
+    ("ball_without_delta", {"observable": "indicator_ball"}, "probe.delta"),
+    ("component_5_at_d2", {"observable": "velocity_at_origin", "component": 5},
+     "probe.component"),
+]
+
+
+# the config check rejects a bad observable whichever subcommand runs, so
+# validate passes no config that ergodic, the one reading it, would refuse;
+# the ergodic cases carry the bare case name
+@pytest.mark.parametrize("subcommand, probe, needle", [
+    pytest.param(sub, probe, needle, id=name if sub == "ergodic" else f"{name}-{sub}")
+    for sub in ("ergodic", "validate", "tracer", "chain")
+    for name, probe, needle in _BAD_OBSERVABLES])
+def test_ergodic_observable_config_is_exit_1(small_cfg, tmp_path, subcommand, probe,
+                                             needle):
     cfg = json.loads(small_cfg.read_text())
     cfg["probe"].update(probe)
     small_cfg.write_text(json.dumps(cfg))
     out = tmp_path / "e.jsonl"
-    res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
+    res = run_cli(subcommand, "--config", str(small_cfg), "--out", str(out))
     assert_one_line_exit_1(res, needle)
     assert not out.exists()
 

@@ -237,7 +237,7 @@ def test_lln_prefix_slices_are_the_record_rebuild_byte_for_byte(small_model, psi
 
 def test_lln_requires_two_horizons(small_model):
     with pytest.raises(ValueError):
-        lln_test(small_model, TANH_NORM, horizons=[1.0], ensemble=4, seed=22)
+        lln_test(small_model, TANH_NORM, horizons=[1.0], ensemble=4, seed=22, dt=0.01)
 
 
 # ---------------------------------------------------------------- observables

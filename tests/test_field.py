@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from tracerflow import (NumericalFailure, SpectrumError,
-                        build_power_law_spectrum, covariance_oracle, evaluate,
+from tracerflow import (NumericalFailure,
+                        build_power_law_spectrum, evaluate,
                         noiseless_flow_step, origin_value,
                         ou_exact_step, sample_stationary, sobolev_norm,
                         zero_field)
@@ -293,21 +293,6 @@ def test_ou_rejects_nonpositive_dt(small_model):
     f = zero_field(small_model)
     with pytest.raises(ValueError):
         ou_exact_step(small_model, f, 0.0, np.random.default_rng(0))
-
-
-# ---------------------------------------------------------------- oracle
-
-def test_covariance_oracle_values(small_model):
-    m = single_pair_model(gamma=2.0, energy=np.diag([0.5, 1.5]))
-    i = pair_row(m, (1, 0))
-    np.testing.assert_array_equal(covariance_oracle(m, 0.0, (1, 0)), m.energy[i])
-    np.testing.assert_allclose(covariance_oracle(m, 0.5, (1, 0)),
-                               math.exp(-1.0) * m.energy[i], rtol=1e-15)
-    norms = [np.linalg.norm(covariance_oracle(m, h, (1, 0)))
-             for h in (0.0, 0.3, 0.9, 2.4)]
-    assert all(b <= a for a, b in zip(norms, norms[1:]))
-    with pytest.raises(SpectrumError):
-        covariance_oracle(m, 0.1, (5, 5))
 
 
 # ---------------------------------------------------------------- flows

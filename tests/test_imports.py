@@ -1,7 +1,7 @@
 """Every imported name is read somewhere in its module, every private
 module-level function or class in ``src/`` is read by some ``src/`` module,
 and every public one by some module under ``src/``, ``tests/`` or ``bench/``;
-a public one that no ``src/`` module reads is a listed test oracle.
+the public ones that no ``src/`` module reads are the listed test oracles.
 No ``src/`` module imports another's private names, but for one listed pair.
 
 Package ``__init__`` modules are exempt from the first check: their imports
@@ -108,7 +108,6 @@ TEST_ORACLES = {
     "exact_distribution": "the chain's atoms after n steps; criterion 8 reads the ladder mass",
     "ladder_survival_limit": "the closed-form limit of the ladder survival; criterion 8",
     "simulate_paths": "Monte-Carlo chain paths against the exact tree; criterion 8",
-    "covariance_oracle": "the closed-form lag-h mode covariance and its mirror conjugate",
     "displacement_identity_gap": "criterion 4: the displacement is the velocity's integral",
 }
 
@@ -119,14 +118,28 @@ def unread_public_definitions(sources: list[str]) -> set[str]:
     return set().union(*map(public_definitions, sources)) - read
 
 
+def unlisted_and_stale(sources: list[str], oracles: dict) -> tuple[set[str], set[str]]:
+    """The unread public definitions that are not listed oracles, and the
+    listed oracles that are not unread public definitions."""
+    unread = unread_public_definitions(sources)
+    return unread - oracles.keys(), oracles.keys() - unread
+
+
 def test_the_scan_sees_a_public_definition_only_tests_read():
     sources = ["def oracle(): pass\ndef used(): pass\n", "from .a import used\nused()\n"]
     assert unread_public_definitions(sources) == {"oracle"}
+    assert unlisted_and_stale(sources, {}) == ({"oracle"}, set())
+
+
+def test_the_scan_sees_a_stale_test_oracle():
+    sources = ["def oracle(): pass\n", "from .a import oracle\noracle()\n"]
+    listed = {"oracle": "now read by a src module", "deleted": "no longer defined"}
+    assert unlisted_and_stale(sources, listed) == (set(), {"oracle", "deleted"})
 
 
 def test_public_definitions_no_src_module_reads_are_test_oracles():
     src = [p.read_text() for p in MODULES if p.is_relative_to(ROOT / "src")]
-    assert unread_public_definitions(src) - TEST_ORACLES.keys() == set()
+    assert unlisted_and_stale(src, TEST_ORACLES) == (set(), set())
 
 
 # tracer steps call field._eval directly: a call through the public evaluate

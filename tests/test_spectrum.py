@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tracerflow import (SpectrumError, SpectrumModel, build_power_law_spectrum, check_h1,
-                        check_h2, covariance_oracle, gamma_star, h2_tail_bound,
+                        check_h2, gamma_star, h2_tail_bound,
                         stationary_norm_moment)
 from tracerflow import spectrum
 from tracerflow.spectrum import HERMITIAN_RTOL, PSD_FLOOR_RTOL
@@ -112,12 +112,6 @@ def test_sums_monotone_in_truncation():
     assert min(h1s + h2s) >= 0.0
 
 
-def test_energy_mirror_is_exact_conjugate(default_model):
-    m = default_model
-    for k, e in zip(m.wavevectors, m.energy):
-        assert np.array_equal(covariance_oracle(m, 0.0, -k), e.conj())
-
-
 _I2 = np.eye(2)
 
 
@@ -150,7 +144,6 @@ def test_a_directly_built_model_is_the_builders_model(default_model):
     m = default_model
     again = SpectrumModel(m.dimension, m.m, m.alpha, m.wavevectors.astype(int), m.gamma,
                           m.energy)
-    assert again._index == m._index
     for name in ("wavevectors", "gamma", "energy", "k_norm", "noise_factor",
                  "weight_m", "trace"):
         assert getattr(again, name).tobytes() == getattr(m, name).tobytes()
@@ -194,8 +187,8 @@ def _pivoted_cholesky(e, floor):
 def _per_site_tables(kv, gamma, energy):
     """The per-site validation and pairing loop the model build used to run
     on the full lattice tables, kept as the reference for its vectorised
-    form.  Returns the row of each representative (the lex-larger of k and
-    -k) and the representatives' tables."""
+    form.  Returns the tables of the representatives (the lex-larger of k
+    and -k), in site order."""
     index = {tuple(int(c) for c in row): i for i, row in enumerate(kv)}
     pos, factors = [], {}
     for i, row in enumerate(kv):
@@ -223,8 +216,7 @@ def _per_site_tables(kv, gamma, energy):
     for r, i in enumerate(pos):
         for c, col in enumerate(factors[i]):
             factor[r, :, c] = col
-    rows = {tuple(int(c) for c in kv[i]): r for r, i in enumerate(pos)}
-    return rows, (kv[pos].astype(float), gamma[pos], energy[pos], factor)
+    return kv[pos].astype(float), gamma[pos], energy[pos], factor
 
 
 def _full_lattice_tables(kv, gamma, energy):
@@ -251,9 +243,7 @@ def _complex_hermitian_model():
 def test_vectorised_build_is_the_per_site_loop(d, K, projection):
     m = (_complex_hermitian_model() if d == "tables" else
          build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0))
-    rows, tables = _per_site_tables(*_full_lattice_tables(m.wavevectors, m.gamma, m.energy))
-    assert m._index == rows
-    assert [type(k[0]) for k in m._index] == [int] * len(rows)
+    tables = _per_site_tables(*_full_lattice_tables(m.wavevectors, m.gamma, m.energy))
     for got, want in zip((m.wavevectors, m.gamma, m.energy, m.noise_factor), tables):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -291,15 +281,6 @@ def test_large_m_is_rejected_without_a_numpy_warning():
         with pytest.raises(SpectrumError, match="H1 sum is not finite"):
             SpectrumModel(2, 3, 0.5, [(1, 0)], [1e300], [0.5e158 * np.eye(2)])
         build_power_law_spectrum(2, 4, 1.0, 14.0, "incompressible", 1.0, 2.0, m=200)
-
-
-def test_covariance_oracle_mirror_is_the_conjugate():
-    m = _complex_hermitian_model()
-    assert np.abs(m.energy.imag).max() > 0.0
-    for k in m.wavevectors:
-        for h in (0.0, 0.3, 2.0):
-            assert np.array_equal(covariance_oracle(m, h, -k),
-                                  covariance_oracle(m, h, k).conj())
 
 
 @pytest.mark.parametrize("build", [
