@@ -20,10 +20,10 @@ from . import __version__
 from ._ensemble import child_seeds, run_trajectory_ensemble
 from .chain import (default_observable, kernel_power_closed_form, kernel_power_profile,
                     ladder_weights, mc_power_profile)
-from .config import ConfigError, ExperimentConfig, config_hash, parse_config
-from .ergodic import (MOMENT_GRID_DT, ObservableSpec,
-                      e_property_probe, lln_test, moment_scan, stability_probe,
-                      stationary_norm_moment, summarize_run)
+from .config import (DECAY_T_MAX, MOMENT_SCAN_T_MAX, PROBE_T_MAX, ConfigError,
+                     ExperimentConfig, config_hash, parse_config)
+from .ergodic import (ObservableSpec, e_property_probe, lln_test, moment_scan,
+                      stability_probe, stationary_norm_moment, summarize_run)
 from .field import NumericalFailure, modulus_decay_report, ou_covariance_report
 from .spectrum import (SpectrumError, build_power_law_spectrum, check_h1,
                        check_h2, gamma_star, h2_tail_bound)
@@ -37,9 +37,6 @@ H2_QUAD_STEPS = 4000
 CONVERGENCE_RTOL = 0.10
 DECAY_TOL = 1e-6
 MAX_THREADS = 64   # --threads ceiling
-DECAY_T_MAX = 5.0          # horizon caps on simulation.T: the decay report,
-MOMENT_SCAN_T_MAX = 10.0   # the moment scan,
-PROBE_T_MAX = 2.0          # and the stability and e-property probes
 # Every random stream, named once and prefixed by its subcommand: stream i has spawn key
 # (i,), and _ensemble.child_seeds makes its children (runs, coupling offsets, chain starts).
 STREAMS = ("field", "decay", "tracer", "ergodic.run", "ergodic.moment_scan",
@@ -154,11 +151,8 @@ def _cmd_field(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 def _cmd_decay(cfg: ExperimentConfig, out: str, threads: int) -> None:
     sim = cfg.simulation
-    horizon = min(sim.T, DECAY_T_MAX)
-    if round(horizon / sim.dt) < 1:
-        raise ConfigError(f"simulation.dt: {sim.dt} leaves no step in the decay horizon")
     rep = modulus_decay_report(_build_model(cfg), n_starts=sim.ensemble, dt=sim.dt,
-                               horizon=horizon, seed=_stream(cfg, "decay"))
+                               horizon=min(sim.T, DECAY_T_MAX), seed=_stream(cfg, "decay"))
     lines = [_probe_record(cfg, "modulus_decay_rel_error",
                            {"n_starts": rep["n_starts"], "dt": rep["dt"],
                             "horizon": rep["horizon"]},
@@ -193,18 +187,6 @@ def _cmd_tracer(cfg: ExperimentConfig, out: str, threads: int) -> None:
 def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
     sim, pr = cfg.simulation, cfg.probe
     t_scan, t_probe = min(sim.T, MOMENT_SCAN_T_MAX), min(sim.T, PROBE_T_MAX)
-    if round(t_scan / MOMENT_GRID_DT) < 1:
-        raise ConfigError(f"simulation.T: {sim.T} rounds to no moment-scan step")
-    if round(t_probe / sim.dt) < 1:
-        raise ConfigError(f"simulation.dt: {sim.dt} leaves no step in the probe horizon")
-    horizons = [t for t in pr.horizons if t <= sim.T]
-    if len(horizons) >= 2:   # lln_test reads them off runs recorded up to horizons[-1]
-        top = round(horizons[-1] / sim.dt)
-        for t in horizons:
-            k = round(t / sim.dt)
-            if k < 1 or abs(k * sim.dt - t) > 1e-9 * max(1.0, t) or (
-                    k % sim.record_every and k != top):
-                raise ConfigError(f"probe.horizons: {t} is off the grid of dt * record_every")
     model = _build_model(cfg)
     psi = ObservableSpec(pr.observable, pr.component, pr.delta)
     ens, lines = max(sim.ensemble, 2), []   # every probe ensemble needs a spread
@@ -248,7 +230,7 @@ def _cmd_ergodic(cfg: ExperimentConfig, out: str, threads: int) -> None:
                                     "t_argmax": float(t)},
                                    float(dval), float(se)))
 
-    if len(horizons) >= 2:
+    if len(horizons := cfg.lln_horizons) >= 2:
         lln = lln_test(model, psi, horizons, ensemble=ens,
                        seed=_stream(cfg, "ergodic.lln"), dt=sim.dt,
                        record_every=sim.record_every, threads=threads)

@@ -8,7 +8,11 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .chain import MAX_EXACT_DEPTH
-from .ergodic import OBSERVABLE_KINDS
+from .ergodic import MOMENT_GRID_DT, OBSERVABLE_KINDS
+
+DECAY_T_MAX = 5.0          # horizon caps on simulation.T, each of which _validate
+MOMENT_SCAN_T_MAX = 10.0   # requires to hold a step: the decay report, the moment scan,
+PROBE_T_MAX = 2.0          # and the stability and e-property probes that cli runs
 
 
 class ConfigError(ValueError):
@@ -57,6 +61,10 @@ class ExperimentConfig:
     spectrum: SpectrumConfig = field(default_factory=SpectrumConfig)
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
+
+    @property
+    def lln_horizons(self) -> list:   # the LLN probe drops horizons past simulation.T
+        return [t for t in self.probe.horizons if t <= self.simulation.T]
 
 
 # Documented top-level shorthands for quick configs.
@@ -172,6 +180,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("simulation.T: must be >= simulation.dt")
     if abs(round(sim.T / sim.dt) * sim.dt - sim.T) > 1e-9 * sim.T:
         raise ConfigError(f"simulation.T: {sim.T} is not a multiple of simulation.dt {sim.dt}")
+    if round(min(sim.T, MOMENT_SCAN_T_MAX) / MOMENT_GRID_DT) < 1:
+        raise ConfigError(f"simulation.T: {sim.T} rounds to no moment-scan step")
+    if round(min(sim.T, PROBE_T_MAX, DECAY_T_MAX) / sim.dt) < 1:
+        raise ConfigError(f"simulation.dt: {sim.dt} leaves no step in the probe or decay horizon")
     if sim.ensemble < 1:
         raise ConfigError("simulation.ensemble: must be >= 1")
     if sim.record_every < 1:
@@ -201,8 +213,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("probe.offsets: must be nonnegative and non-increasing")
     if any(t <= 0 for t in pr.horizons):
         raise ConfigError("probe.horizons: must be positive")
-    if len(pr.horizons) >= 2 and sorted(pr.horizons) != list(pr.horizons):
-        raise ConfigError("probe.horizons: must be increasing")
+    if any(a >= b for a, b in zip(pr.horizons, pr.horizons[1:])):
+        raise ConfigError("probe.horizons: must be strictly increasing")
+    if len(horizons := cfg.lln_horizons) >= 2:   # lln_test records up to horizons[-1]
+        for t in horizons:
+            k = round(t / sim.dt)
+            if k < 1 or abs(k * sim.dt - t) > 1e-9 * max(1.0, t) or (
+                    k % sim.record_every and k != round(horizons[-1] / sim.dt)):
+                raise ConfigError(f"probe.horizons: {t} is off the grid of dt * record_every")
     if not 1 <= pr.chain_n_max <= MAX_EXACT_DEPTH:
         raise ConfigError(f"probe.chain_n_max: must lie in [1, {MAX_EXACT_DEPTH}]")
     if not pr.chain_x:

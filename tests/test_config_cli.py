@@ -260,15 +260,6 @@ def assert_one_line_exit_1(res, *needles):
     assert all(n in res.stderr for n in needles), res.stderr
 
 
-def test_ergodic_horizon_below_moment_grid_is_config_error(small_cfg, tmp_path):
-    cfg = json.loads(small_cfg.read_text())
-    cfg["simulation"]["T"] = 0.04
-    small_cfg.write_text(json.dumps(cfg))
-    res = run_cli("ergodic", "--config", str(small_cfg), "--out",
-                  str(tmp_path / "e.jsonl"))
-    assert_one_line_exit_1(res, "simulation.T", "0.04")
-
-
 @pytest.mark.parametrize("subcommand, T", [("ergodic", 0.2), ("tracer", 1.0)])
 def test_unwritable_out_is_exit_1(small_cfg, tmp_path, subcommand, T):
     cfg = json.loads(small_cfg.read_text())
@@ -534,18 +525,6 @@ def test_horizon_off_the_step_grid_is_exit_1(small_cfg, tmp_path):
     assert_one_line_exit_1(res, "simulation.T", "simulation.dt")
 
 
-def test_lln_horizon_off_the_record_grid_is_exit_1(small_cfg, tmp_path):
-    # 0.5 is step 50, not a multiple of record_every = 3, and not the last step
-    cfg = json.loads(small_cfg.read_text())
-    cfg["simulation"].update(dt=0.01, record_every=3)
-    cfg["probe"]["horizons"] = [0.5, 1.0]
-    small_cfg.write_text(json.dumps(cfg))
-    out = tmp_path / "e.jsonl"
-    res = run_cli("ergodic", "--config", str(small_cfg), "--out", str(out))
-    assert_one_line_exit_1(res, "probe.horizons", "0.5")
-    assert not out.exists()
-
-
 _BAD_OBSERVABLES = [
     ("bogus", {"observable": "bogus"}, "probe.observable"),
     ("ball_without_delta", {"observable": "indicator_ball"}, "probe.delta"),
@@ -660,6 +639,7 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("ergodic", "probe", "offsets", [], "probe.offsets"),
     ("ergodic", "probe", "horizons", [-0.5, 0.5], "probe.horizons"),
     ("ergodic", "probe", "horizons", [1e-10, 1.0], "probe.horizons"),
+    ("ergodic", "probe", "horizons", [0.1, 0.1, 0.2], "probe.horizons"),
     ("ergodic", "spectrum", "dimension", 1, "spectrum.projection"),
     ("decay", "spectrum", "dimension", 1, "spectrum.projection"),
     ("field", "spectrum", "dimension", 1, "spectrum.projection"),
@@ -681,7 +661,7 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("ergodic", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
     ("validate", "spectrum", "projection", "sideways", "spectrum.projection"),
 ], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative", "offsets_empty",
-        "horizon_negative", "horizon_at_step_0", "ergodic_d1", "decay_d1", "field_d1",
+        "horizon_negative", "horizon_at_step_0", "horizons_repeated", "ergodic_d1", "decay_d1", "field_d1",
         "output_section",
         "offsets_string", "offsets_null", "offsets_numeric_string", "offsets_bool",
         "offsets_nan", "offsets_infinity", "horizons_string_second", "radius_negative",
@@ -800,16 +780,43 @@ def test_statistic_past_the_float_range_is_exit_2(tmp_path, subcommand, sections
     assert not out.exists()
 
 
-def test_decay_step_longer_than_the_horizon_is_exit_1(tmp_path):
-    # min(T, 5) rounds to no step of dt, which left the contraction slack at -inf
-    res, out = run_tiny(tmp_path, "decay", simulation={"dt": 20.0, "T": 20.0})
-    assert_one_line_exit_1(res, "simulation.dt", "20.0")
+# each case names the subcommand whose run the bad value breaks; that subcommand's
+# case has the bare case name as its id
+_BAD_HORIZONS = [
+    # min(T, 10) rounds to no step of the moment scan's 0.1 grid
+    ("horizon_below_moment_grid", "ergodic", {"simulation": {"dt": 0.01, "T": 0.04}},
+     ("simulation.T", "0.04")),
+    # 0.5 is step 50, not a multiple of record_every = 3, and not the last step
+    ("lln_horizon_off_the_record_grid", "ergodic",
+     {"simulation": {"dt": 0.01, "T": 1.0, "record_every": 3},
+      "probe": {"horizons": [0.5, 1.0]}}, ("probe.horizons", "0.5")),
+    # min(T, 2) rounds to no step of dt, which ran both probes for zero steps
+    ("step_longer_than_the_probe_horizon", "ergodic",
+     {"simulation": {"dt": 5.0, "T": 5.0, "ensemble": 3}, "probe": {"horizons": [5.0, 10.0]}},
+     ("simulation.dt", "5.0")),
+    # min(T, 5) rounds to no step of dt, which left the contraction slack at -inf; TINY's
+    # horizons round to step 0 as well, and the step is named first
+    ("step_longer_than_the_decay_horizon", "decay", {"simulation": {"dt": 20.0, "T": 20.0}},
+     ("simulation.dt", "20.0")),
+]
+
+
+# the config check rejects these horizons whichever subcommand runs, so validate
+# passes no config that ergodic or decay would refuse
+@pytest.mark.parametrize("subcommand, sections, needles", [
+    pytest.param(sub, sections, needles, id=name if sub == owner else f"{name}-{sub}")
+    for name, owner, sections, needles in _BAD_HORIZONS for sub in cli.SUBCOMMANDS])
+def test_probe_horizon_config_is_exit_1(tmp_path, subcommand, sections, needles):
+    res, out = run_tiny(tmp_path, subcommand, **sections)
+    assert_one_line_exit_1(res, *needles)
     assert not out.exists()
 
 
 def test_decay_error_above_the_tolerance_is_exit_3(tmp_path):
-    # at dt = 2.5 the RK4 phase stages carry the moduli far off the exact decay
-    res, out = run_tiny(tmp_path, "decay", simulation={"dt": 2.5, "T": 5.0})
+    # at dt = 2.5 the RK4 phase stages carry the moduli far off the exact decay; TINY's
+    # horizons round to step 0 at this dt, so the LLN probe gets none
+    res, out = run_tiny(tmp_path, "decay", simulation={"dt": 2.5, "T": 5.0},
+                        probe={"horizons": []})
     assert res.returncode == 3, res.stderr
     recs = [json.loads(ln) for ln in body_of(out)]
     assert [r["probe"] for r in recs] == ["modulus_decay_rel_error", "norm_contraction_excess"]
@@ -823,14 +830,6 @@ def test_moment_order_without_a_closed_form_records_null(tmp_path):
     assert res.returncode == 0, res.stderr
     [scan] = [r for r in map(json.loads, body_of(out)) if r["probe"] == "moment_scan"]
     assert scan["params"]["n"] == 3 and scan["params"]["stationary_value"] is None
-
-
-def test_ergodic_step_longer_than_the_probe_horizon_is_exit_1(tmp_path):
-    # min(T, 2) rounds to no step of dt, which ran both probes for zero steps
-    res, out = run_tiny(tmp_path, "ergodic", simulation={"dt": 5.0, "T": 5.0, "ensemble": 3},
-                        probe={"horizons": [5.0, 10.0]})
-    assert_one_line_exit_1(res, "simulation.dt", "5.0")
-    assert not out.exists()
 
 
 def test_field_skips_sites_without_energy(tmp_path):

@@ -3,6 +3,8 @@ module-level function or class in ``src/`` is read by some ``src/`` module,
 and every public one by some module under ``src/``, ``tests/`` or ``bench/``;
 the public ones that no ``src/`` module reads are the listed test oracles.
 No ``src/`` module imports another's private names, but for one listed pair.
+No ``cli`` subcommand handler raises ``ConfigError``: a check that reads the
+config alone lives in ``config._validate``, which every subcommand runs.
 
 Package ``__init__`` modules are exempt from the first check: their imports
 are the re-exported public names.
@@ -174,3 +176,29 @@ def test_no_private_imports_across_src_modules():
     found = set().union(*(private_imports(p.read_text(), ".".join(
         p.relative_to(ROOT / "src").with_suffix("").parts)) for p in SRC))
     assert found - ALLOWED_PRIVATE_IMPORTS == set()
+
+
+def handlers_raising_config_error(source: str) -> set[str]:
+    """The module-level ``_cmd_*`` functions whose body raises ``ConfigError``."""
+    def raises_config_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None)) == "ConfigError"
+
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+            and any(isinstance(n, ast.Raise) and raises_config_error(n)
+                    for n in ast.walk(node))}
+
+
+def test_the_scan_sees_a_handler_raising_config_error():
+    source = ("def _cmd_a(cfg):\n    if cfg:\n        raise ConfigError('x')\n"
+              "def _cmd_b(cfg):\n    raise config.ConfigError\n"
+              "def _cmd_c(cfg):\n    raise CheckFailure('y')\n"
+              "def _write(path):\n    raise ConfigError('z')\n")
+    assert handlers_raising_config_error(source) == {"_cmd_a", "_cmd_b"}
+
+
+def test_no_cli_handler_raises_config_error():
+    # output I/O (_write_lines) and main's --threads and config reading stay outside
+    source = (ROOT / "src" / "tracerflow" / "cli.py").read_text()
+    assert handlers_raising_config_error(source) == set()

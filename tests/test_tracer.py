@@ -253,3 +253,34 @@ def test_tracers_in_a_potential_field_see_less_than_the_eulerian_speed():
     eulerian = 2.0 * float(model.trace.sum())
     z = (per_run.mean() - eulerian) / stderr
     assert z < -10.0, (per_run.mean(), stderr, eulerian, z)
+
+
+def batched_time_average(values, times, n_batches=20):
+    """Trapezoid time average of values over times, and its standard error
+    from the averages over n_batches consecutive windows."""
+    area = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
+    windows = np.array_split(np.arange(area.size), n_batches)
+    batches = [area[w].sum() / (times[w[-1] + 1] - times[w[0]]) for w in windows]
+    return area.sum() / (times[-1] - times[0]), np.std(batches, ddof=1) / math.sqrt(n_batches)
+
+
+def test_two_long_tracer_runs_in_a_potential_field_give_one_time_average():
+    """Weak-* mean ergodicity of the field seen from the tracer, where no
+    closed form gives the limit: in a potential field the tracer's law of the
+    environment is not the Eulerian one.  Two runs of T = 250 from seeds 3
+    and 44 take the trapezoid time average of |v|^2 over t >= 5, with a
+    20-batch standard error; the averages agree within |z| <= 4, and each
+    lies more than 4 standard errors below the Eulerian E|V(x)|^2 = 4.0316.
+    A tracer that does not move sees the Eulerian law and fails; a tracer
+    moved by -V passes, as -V has the law of V."""
+    model = build_power_law_spectrum(2, 4, 1.0, 14.0, "potential", 1.0, 2.0)
+    eulerian = 2.0 * float(model.trace.sum())
+    averages = []
+    for seed in (3, 44):
+        rec = run_lagrangian(model, T=250.0, dt=0.02, record_every=1, seed=seed)
+        i5 = rec.index_at(5.0)
+        averages.append(batched_time_average((rec.velocities[i5:] ** 2).sum(axis=1),
+                                             rec.times[i5:]))
+    (a, se_a), (b, se_b) = averages
+    assert abs(a - b) <= 4.0 * math.hypot(se_a, se_b), averages
+    assert all(mean + 4.0 * se < eulerian for mean, se in averages), (averages, eulerian)
