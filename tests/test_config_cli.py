@@ -661,8 +661,8 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("ergodic", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
     ("validate", "spectrum", "projection", "sideways", "spectrum.projection"),
 ], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative", "offsets_empty",
-        "horizon_negative", "horizon_at_step_0", "horizons_repeated", "ergodic_d1", "decay_d1", "field_d1",
-        "output_section",
+        "horizon_negative", "horizon_at_step_0", "horizons_repeated", "ergodic_d1", "decay_d1",
+        "field_d1", "output_section",
         "offsets_string", "offsets_null", "offsets_numeric_string", "offsets_bool",
         "offsets_nan", "offsets_infinity", "horizons_string_second", "radius_negative",
         "energy_overflow_validate", "energy_overflow_tracer",
@@ -814,7 +814,7 @@ def test_probe_horizon_config_is_exit_1(tmp_path, subcommand, sections, needles)
 
 def test_decay_error_above_the_tolerance_is_exit_3(tmp_path):
     # at dt = 2.5 the RK4 phase stages carry the moduli far off the exact decay; TINY's
-    # horizons round to step 0 at this dt, so the LLN probe gets none
+    # horizons would round to step 0 at this dt, a config error for every subcommand
     res, out = run_tiny(tmp_path, "decay", simulation={"dt": 2.5, "T": 5.0},
                         probe={"horizons": []})
     assert res.returncode == 3, res.stderr
