@@ -216,11 +216,15 @@ def _validate(cfg: ExperimentConfig) -> None:
     if any(a >= b for a, b in zip(pr.horizons, pr.horizons[1:])):
         raise ConfigError("probe.horizons: must be strictly increasing")
     if len(horizons := cfg.lln_horizons) >= 2:   # lln_test records up to horizons[-1]
+        prev = 0
         for t in horizons:
             k = round(t / sim.dt)
             if k < 1 or abs(k * sim.dt - t) > 1e-9 * max(1.0, t) or (
                     k % sim.record_every and k != round(horizons[-1] / sim.dt)):
                 raise ConfigError(f"probe.horizons: {t} is off the grid of dt * record_every")
+            if k <= prev:
+                raise ConfigError(f"probe.horizons: {t} rounds to the same step of simulation.dt as the one before")
+            prev = k
     if not 1 <= pr.chain_n_max <= MAX_EXACT_DEPTH:
         raise ConfigError(f"probe.chain_n_max: must lie in [1, {MAX_EXACT_DEPTH}]")
     if not pr.chain_x:

@@ -244,9 +244,8 @@ def stability_probe(model: SpectrumModel, eps: float, T: float, ensemble: int,
     for _ in range(n_steps):
         y = noiseless_flow_step(model, y, dt)
     cpos = ens_tile(x, ensemble)
-    scale = model.noise_scale(dt)
     for _ in range(n_steps):
-        noise = ens_pair_noise(model, rng, scale, ensemble)
+        noise = ens_pair_noise(model, rng, dt, ensemble)
         ens_observation_step(model, cpos, dt, noise, out=cpos)
     dist = ens_norm_m(model, cpos - y)
     hits = (dist < eps).astype(float)
@@ -293,7 +292,6 @@ def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
     x = zero_field(model)
     direction = _unit_direction(model, rng)
     n_steps = int(round(T / dt))
-    scale = model.noise_scale(dt)
     offsets = np.asarray(list(offsets), dtype=float)
     if np.any(offsets < 0.0) or np.any(np.diff(offsets) > 0.0):
         raise ValueError("offsets must be nonnegative and sorted decreasing")
@@ -312,7 +310,7 @@ def e_property_probe(model: SpectrumModel, offsets, psi: ObservableSpec,
         best_se = float(diff0.std(ddof=1) / math.sqrt(ensemble))
         best_t = 0.0
         for step in range(1, n_steps + 1):
-            noise = ens_pair_noise(model, pair_rng, scale, ensemble)
+            noise = ens_pair_noise(model, pair_rng, dt, ensemble)
             ens_observation_step(model, a, dt, noise, out=a)
             ens_observation_step(model, b, dt, noise, out=b)
             if step % record_stride and step != n_steps:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .spectrum import SpectrumModel
 
-_RSQRT2 = 1.0 / np.sqrt(2.0)
 _DECAY_CHECKPOINTS = 20   # modulus_decay_report compares at about this many times
 _TOP_MODES = 10           # sites checked by ou_covariance_report
 
@@ -40,7 +39,7 @@ def zero_field(model: SpectrumModel) -> np.ndarray:
 
 
 def _check_finite(coeffs: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise NumericalFailure(f"non-finite coefficients after {what}")
 
 
@@ -74,13 +73,13 @@ def evaluate(model: SpectrumModel, coeffs: np.ndarray, xi) -> np.ndarray:
 
 
 def _pair_draw(model: SpectrumModel, rng: np.random.Generator,
-               scale: np.ndarray | None, lead_shape: tuple) -> np.ndarray:
+               dt: float | None, lead_shape: tuple) -> np.ndarray:
     """The pair-noise draw: standard normals of shape lead_shape +
     (n_pairs, r, 2), read as r complex normals re + 1j im per pair and
-    combined with the factor L * scale / sqrt(2), the einsum
+    combined with the factor model.draw_factor(dt), the einsum
     "pir,...pr->...pi".  The first term is written, not added to zeros, so
     a zero product keeps its sign."""
-    factor = model.noise_factor * (_RSQRT2 if scale is None else scale[:, None, None] * _RSQRT2)
+    factor = model.draw_factor(dt)
     r = factor.shape[-1]
     w = rng.standard_normal(lead_shape + (model.n_pairs, r, 2)).view(complex)[..., 0]
     eta = np.empty(w.shape[:-1] + (model.dimension,), dtype=complex)
@@ -93,17 +92,19 @@ def _pair_draw(model: SpectrumModel, rng: np.random.Generator,
 
 
 def pair_noise(model: SpectrumModel, rng: np.random.Generator,
-               scale: np.ndarray | None = None, lead_shape: tuple = ()) -> np.ndarray:
+               dt: float | None = None, lead_shape: tuple = ()) -> np.ndarray:
     """Circular complex Gaussian increment, drawn once per conjugate pair.
 
     Shape lead_shape + (n_pairs, d).  Each representative gets
-    scale^2 * energy(k) as second-moment matrix (scale=None means 1); the
-    mirror is implied, so the field perturbation is real.  Pseudo-covariance
-    is zero by construction.  Draw contract: one rng.standard_normal call of
-    shape lead_shape + (n_pairs, r, 2), consumed in order, where r is the
-    rank of the model's noise factor (model.noise_factor).
+    (1 - exp(-2 gamma dt)) * energy(k) as second-moment matrix, the
+    increment of an exact OU step of length dt; dt=None draws from the
+    stationary law, energy(k) itself.  The mirror is implied, so the field
+    perturbation is real.  Pseudo-covariance is zero by construction.  Draw
+    contract: one rng.standard_normal call of shape lead_shape +
+    (n_pairs, r, 2), consumed in order, where r is the rank of the model's
+    noise factor (model.noise_factor), whatever dt is.
     """
-    return _pair_draw(model, rng, scale, lead_shape)
+    return _pair_draw(model, rng, dt, lead_shape)
 
 
 def sample_stationary(model: SpectrumModel, rng: np.random.Generator) -> np.ndarray:
@@ -128,7 +129,7 @@ def ou_exact_step(model: SpectrumModel, coeffs: np.ndarray, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    noise = pair_noise(model, rng, model.noise_scale(dt), coeffs.shape[:-2])
+    noise = pair_noise(model, rng, dt, coeffs.shape[:-2])
     return _ou(model, coeffs, dt, noise)
 
 
@@ -204,14 +205,14 @@ def ens_norm_m(model: SpectrumModel, cpos: np.ndarray) -> np.ndarray:
 
 
 def ens_pair_noise(model: SpectrumModel, rng: np.random.Generator,
-                   scale: np.ndarray | None, n: int) -> np.ndarray:
+                   dt: float | None, n: int) -> np.ndarray:
     """pair_noise for n members."""
-    return _pair_draw(model, rng, scale, (n,))
+    return _pair_draw(model, rng, dt, (n,))
 
 
 def ens_ou_step(model: SpectrumModel, cpos: np.ndarray, dt: float,
                 rng: np.random.Generator) -> np.ndarray:
-    noise = ens_pair_noise(model, rng, model.noise_scale(dt), cpos.shape[0])
+    noise = ens_pair_noise(model, rng, dt, cpos.shape[0])
     return _ou(model, cpos, dt, noise)
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 HERMITIAN_RTOL = 1e-12
 PSD_FLOOR_RTOL = 1e-12
+_RSQRT2 = 1.0 / np.sqrt(2.0)
 
 PROJECTIONS = ("full", "incompressible", "potential")
 
@@ -54,7 +55,7 @@ class SpectrumModel:
     weight_m: np.ndarray = field(init=False, repr=False)   # |k|^{2m}, the X^m weight
     trace: np.ndarray = field(init=False, repr=False)      # Re Tr energy(k)
     _decay_cache: dict = field(default_factory=dict, init=False, repr=False)
-    _noise_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _draw_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         d, m, alpha = int(self.dimension), int(self.m), float(self.alpha)
@@ -113,12 +114,18 @@ class SpectrumModel:
             self._decay_cache[dt] = out
         return out
 
-    def noise_scale(self, dt: float) -> np.ndarray:
-        """sqrt(1 - exp(-2*gamma*dt)) per conjugate-pair representative."""
-        out = self._noise_cache.get(dt)
+    def draw_factor(self, dt: float | None) -> np.ndarray:
+        """The pair-noise factor noise_factor * sqrt(1 - exp(-2*gamma*dt)) / sqrt(2)
+        per row, (n_pairs, d, r); dt None is the stationary law,
+        noise_factor / sqrt(2).  Memoized on dt (hot path)."""
+        out = self._draw_cache.get(dt)
         if out is None:
-            out = np.sqrt(-np.expm1(-2.0 * self.gamma * dt))
-            self._noise_cache[dt] = out
+            if dt is None:
+                out = self.noise_factor * _RSQRT2
+            else:
+                scale = np.sqrt(-np.expm1(-2.0 * self.gamma * dt))
+                out = self.noise_factor * (scale[:, None, None] * _RSQRT2)
+            self._draw_cache[dt] = out
         return out
 
 

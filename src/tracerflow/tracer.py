@@ -69,10 +69,13 @@ def shift_field(model: SpectrumModel, coeffs: np.ndarray, a) -> np.ndarray:
     return coeffs * mult[:, None]
 
 
-def advect_step(x: np.ndarray, model: SpectrumModel, coeffs: np.ndarray,
+def advect_step(x: np.ndarray, model: SpectrumModel, coeffs: np.ndarray, v: np.ndarray,
                 dt: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One coupled step from x: the RK4 increment and the field at t + dt.
 
+    v is the velocity at x, evaluate(model, coeffs, x), which is the first
+    RK4 stage; the caller has it already (a run records it), so the step
+    does not evaluate it again.
     The field snapshots at t, t+dt/2, t+dt (two exact half-steps) feed the RK4
     stages at their standard times, so the field stays exact in law there.
     """
@@ -81,12 +84,11 @@ def advect_step(x: np.ndarray, model: SpectrumModel, coeffs: np.ndarray,
     k = model.wavevectors
     half = ou_exact_step(model, coeffs, dt / 2.0, rng)
     full = ou_exact_step(model, half, dt / 2.0, rng)
-    k1 = _eval(coeffs, k, x)
-    k2 = _eval(half, k, wrap_torus(x + (0.5 * dt) * k1))
+    k2 = _eval(half, k, wrap_torus(x + (0.5 * dt) * v))
     k3 = _eval(half, k, wrap_torus(x + (0.5 * dt) * k2))
     k4 = _eval(full, k, wrap_torus(x + dt * k3))
-    delta = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    if not np.all(np.isfinite(delta)):
+    delta = (dt / 6.0) * (v + 2.0 * (k2 + k3) + k4)
+    if not np.isfinite(delta).all():
         raise NumericalFailure("non-finite tracer increment")
     return delta, full
 
@@ -98,7 +100,8 @@ def run_lagrangian(model: SpectrumModel, T: float, dt: float,
     The field starts from its invariant law, the tracer at the origin.  At
     each record point the run stores the field value at the tracer (the
     observation-process value at the origin) and the X^m norm of the field
-    recentred at the tracer.
+    recentred at the tracer; the next step takes that value as its first
+    RK4 stage.
     """
     if T <= 0.0 or dt <= 0.0 or dt > T:
         raise ValueError("require 0 < dt <= T")
@@ -118,14 +121,16 @@ def run_lagrangian(model: SpectrumModel, T: float, dt: float,
     norms = np.empty(n_rec)
     j = 0
     for step in range(n_steps + 1):
-        if step:
-            delta, field = advect_step(x, model, field, dt, rng)
-            x, disp = wrap_torus(x + delta), disp + delta
         if step % record_every == 0 or step == n_steps:
-            times[j], positions[j], displacements[j] = step * dt, x, disp
-            velocities[j] = evaluate(model, field, x)
+            v = evaluate(model, field, x)
+            times[j], positions[j], displacements[j], velocities[j] = step * dt, x, disp, v
             norms[j] = sobolev_norm(model, shift_field(model, field, x))
             j += 1
+        else:
+            v = _eval(field, model.wavevectors, x)
+        if step < n_steps:
+            delta, field = advect_step(x, model, field, v, dt, rng)
+            x, disp = wrap_torus(x + delta), disp + delta
     return TrajectoryRecord(times=times, positions=positions,
                             displacements=displacements, velocities=velocities,
                             field_norms=norms, seed=seed, dt=dt)
@@ -166,9 +171,9 @@ def csv_columns(d: int) -> list[str]:
 
 
 def trajectory_csv_rows(run_id: int, record: TrajectoryRecord):
-    for i in range(record.times.size):
-        vals = [str(run_id), repr(float(record.times[i]))]
-        for arr in (record.positions, record.displacements, record.velocities):
-            vals += [repr(float(v)) for v in arr[i]]
-        vals.append(repr(float(record.field_norms[i])))
-        yield ",".join(vals)
+    """One CSV line per record row in csv_columns order; floats as repr."""
+    cols = np.column_stack((record.times, record.positions, record.displacements,
+                            record.velocities, record.field_norms))
+    prefix = str(run_id)
+    for row in cols.tolist():
+        yield ",".join([prefix, *map(repr, row)])

@@ -106,13 +106,12 @@ def test_criterion_3_equality_in_law(model_k4):
     n, dt = 2000, 1e-3
     rng_z = np.random.default_rng(MASTER_SEED + 3)
     cz = np.zeros((n, m.n_pairs, 2), dtype=complex)
-    scale = m.noise_scale(dt)
     for _ in range(1000):
-        noise = ens_pair_noise(m, rng_z, scale, n)
+        noise = ens_pair_noise(m, rng_z, dt, n)
         cz = ens_observation_step(m, cz, dt, noise)
     zn = ens_norm_m(m, cz)
     rng_v = np.random.default_rng(MASTER_SEED + 4)
-    cv = ens_pair_noise(m, rng_v, m.noise_scale(1.0), n)
+    cv = ens_pair_noise(m, rng_v, 1.0, n)
     vn = ens_norm_m(m, cv)
     p = float(ks_2samp(zn, vn).pvalue)
     tz, tv = np.tanh(zn ** 2), np.tanh(vn ** 2)
@@ -202,12 +201,12 @@ def test_tracers_and_the_splitting_step_give_one_lagrangian_autocorrelation(
     dt = records[0].dt
     tracer = _autocorrelation(np.stack([r.velocities for r in records]), dt, lags)
     rng = np.random.default_rng(MASTER_SEED + 20)
-    n, n_steps, scale = 64, round(40.0 / dt), model.noise_scale(dt)
+    n, n_steps = 64, round(40.0 / dt)
     c = ens_pair_noise(model, rng, None, n)
     u = np.empty((n_steps + 1, n, model.dimension))
     u[0] = origin_value(c)
     for step in range(1, n_steps + 1):
-        ens_observation_step(model, c, dt, ens_pair_noise(model, rng, scale, n), out=c)
+        ens_observation_step(model, c, dt, ens_pair_noise(model, rng, dt, n), out=c)
         u[step] = origin_value(c)
     split = _autocorrelation(u.swapaxes(0, 1), dt, lags)
     stderr = np.hypot(*(r.std(axis=1, ddof=1) / math.sqrt(r.shape[1])

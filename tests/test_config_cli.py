@@ -640,6 +640,8 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("ergodic", "probe", "horizons", [-0.5, 0.5], "probe.horizons"),
     ("ergodic", "probe", "horizons", [1e-10, 1.0], "probe.horizons"),
     ("ergodic", "probe", "horizons", [0.1, 0.1, 0.2], "probe.horizons"),
+    ("ergodic", "probe", "horizons", [0.1, 0.10000000001, 0.2],
+     "probe.horizons: 0.10000000001 rounds to the same step"),
     ("ergodic", "spectrum", "dimension", 1, "spectrum.projection"),
     ("decay", "spectrum", "dimension", 1, "spectrum.projection"),
     ("field", "spectrum", "dimension", 1, "spectrum.projection"),
@@ -661,7 +663,8 @@ def test_ergodic_threads_reach_the_lln_ensemble(small_cfg, tmp_path, monkeypatch
     ("ergodic", "spectrum", "m", 400, "X^m weight or H1 term at (0, 3) is not finite"),
     ("validate", "spectrum", "projection", "sideways", "spectrum.projection"),
 ], ids=["field_seed", "decay_seed", "offsets_increasing", "offsets_negative", "offsets_empty",
-        "horizon_negative", "horizon_at_step_0", "horizons_repeated", "ergodic_d1", "decay_d1",
+        "horizon_negative", "horizon_at_step_0", "horizons_repeated", "horizons_same_step",
+        "ergodic_d1", "decay_d1",
         "field_d1", "output_section",
         "offsets_string", "offsets_null", "offsets_numeric_string", "offsets_bool",
         "offsets_nan", "offsets_infinity", "horizons_string_second", "radius_negative",

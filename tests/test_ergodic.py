@@ -294,7 +294,7 @@ def _allocating_stability(model, eps, T, ensemble, seed, dt):
     n_steps = int(round(T / dt))
     cpos = ens_tile(x, ensemble)
     for _ in range(n_steps):
-        noise = ens_pair_noise(model, rng, model.noise_scale(dt), ensemble)
+        noise = ens_pair_noise(model, rng, dt, ensemble)
         cpos = _allocating_observation_step(model, cpos, dt, noise)
     dist = ens_norm_m(model, cpos)   # the noiseless flow stays at the zero field
     hits = (dist < eps).astype(float)
@@ -314,7 +314,7 @@ def _allocating_coupling(model, offsets, psi, T, ensemble, seed, dt, stride):
         best_gap = abs(float(diff0.mean()))
         best_se = float(diff0.std(ddof=1) / math.sqrt(ensemble))
         for step in range(1, n_steps + 1):
-            noise = ens_pair_noise(model, pair_rng, model.noise_scale(dt), ensemble)
+            noise = ens_pair_noise(model, pair_rng, dt, ensemble)
             a = _allocating_observation_step(model, a, dt, noise)
             b = _allocating_observation_step(model, b, dt, noise)
             if step % stride and step != n_steps:

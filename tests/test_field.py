@@ -116,11 +116,13 @@ def test_stationary_pseudo_covariance_vanishes(full_k2_model):
         assert np.linalg.norm(pc) < 3.0 * np.linalg.norm(ent)
 
 
-def _einsum_pair_draw(model, seed, scale, lead_shape):
+def _einsum_pair_draw(model, seed, dt, lead_shape):
     """The representative-slice draw written as the plain formula, and as the
-    same products summed over r from the first term rather than from zero."""
-    factor = model.noise_factor * ((1.0 if scale is None else scale[:, None, None])
-                                   * (1.0 / np.sqrt(2.0)))
+    same products summed over r from the first term rather than from zero.
+    The factor is L * sqrt(1 - exp(-2 gamma dt)) / sqrt(2), L / sqrt(2) for
+    dt None."""
+    scale = 1.0 if dt is None else np.sqrt(-np.expm1(-2.0 * model.gamma * dt))[:, None, None]
+    factor = model.noise_factor * (scale * (1.0 / np.sqrt(2.0)))
     r = factor.shape[-1]
     z = np.random.default_rng(seed).standard_normal(lead_shape + (model.n_pairs, r, 2))
     w = z[..., 0] + 1j * z[..., 1]
@@ -137,16 +139,27 @@ def test_pair_draw_is_bitwise_the_einsum_formula(d, K, projection, dt):
     # incompressible energies have exact zeros; einsum sums into zeros, so a
     # zero product keeps its sign only in the first-term sum
     m = build_power_law_spectrum(d, K, 1.0, 14.0, projection, 1.0, 2.0)
-    scale = None if dt is None else m.noise_scale(dt)
     n = 5
-    formula, ref = _einsum_pair_draw(m, 7, scale, (n,))
-    full = pair_noise(m, np.random.default_rng(7), scale, (n,))
-    ens = ens_pair_noise(m, np.random.default_rng(7), scale, n)
+    formula, ref = _einsum_pair_draw(m, 7, dt, (n,))
+    full = pair_noise(m, np.random.default_rng(7), dt, (n,))
+    ens = ens_pair_noise(m, np.random.default_rng(7), dt, n)
     assert np.array_equal(ens, formula)
     assert ens.tobytes() == ref.tobytes()
     assert full.tobytes() == ens.tobytes()
-    one = pair_noise(m, np.random.default_rng(7), scale)
-    assert one.tobytes() == _einsum_pair_draw(m, 7, scale, ())[1].tobytes()
+    one = pair_noise(m, np.random.default_rng(7), dt)
+    assert one.tobytes() == _einsum_pair_draw(m, 7, dt, ())[1].tobytes()
+    # the factor is memoised per dt on each model: a sequence that returns to
+    # a dt, drawn on two models of one lattice with other rates and energies,
+    # gives each model's own factor for each dt
+    other = build_power_law_spectrum(d, K, 2.0, 14.0, projection, 3.0, 2.0)
+    dt1 = 0.02 if dt is None else dt
+    for i, step in enumerate([dt1, 0.003, dt1, None]):
+        for j, model in enumerate([m, other]):
+            seed = 10 * i + j
+            draw = ens_pair_noise(model, np.random.default_rng(seed), step, n)
+            assert draw.tobytes() == _einsum_pair_draw(model, seed, step, (n,))[1].tobytes()
+    assert m.draw_factor(0.003) is m.draw_factor(0.003)
+    assert other.draw_factor(0.003) is not m.draw_factor(0.003)
 
 
 _FACTOR_RANK = {"full": lambda d: d, "incompressible": lambda d: max(1, d - 1),
@@ -166,7 +179,7 @@ def test_noise_factor_spans_the_energy(d, projection):
             <= 1e-15 * np.abs(m.energy).max(axis=(1, 2))).all()
     for lead in [(), (4,)]:
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        pair_noise(m, rng, m.noise_scale(0.01), lead)
+        pair_noise(m, rng, 0.01, lead)
         ref.standard_normal(math.prod(lead) * m.n_pairs * r * 2)
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -176,7 +189,7 @@ def test_ens_observation_step_leaves_its_inputs_alone(default_model, with_noise)
     m = default_model
     rng = np.random.default_rng(8)
     cpos = ens_pair_noise(m, rng, None, 6)
-    noise = ens_pair_noise(m, rng, m.noise_scale(0.01), 6) if with_noise else np.zeros_like(cpos)
+    noise = ens_pair_noise(m, rng, 0.01, 6) if with_noise else np.zeros_like(cpos)
     cpos0, noise0 = cpos.copy(), noise.copy()
     out = ens_observation_step(m, cpos, 0.01, noise)
     assert cpos.tobytes() == cpos0.tobytes()
@@ -194,7 +207,7 @@ def test_ens_observation_step_in_place_is_the_out_of_place_step(
     m = model_of_dimension(d)
     rng = np.random.default_rng(seed)
     cpos = amplitude * ens_pair_noise(m, rng, None, n)
-    noise = ens_pair_noise(m, rng, m.noise_scale(dt), n) if with_noise else np.zeros_like(cpos)
+    noise = ens_pair_noise(m, rng, dt, n) if with_noise else np.zeros_like(cpos)
     ref = ens_observation_step(m, cpos, dt, noise)
     # the per-component multiply is the broadcast multiply, bit for bit
     phase = (origin_value(cpos) @ m.wavevectors.T) * dt
@@ -217,9 +230,8 @@ def test_stacked_observation_steps_grow_the_norm_as_the_closed_form(default_mode
     m, n, dt, steps = default_model, 150, 0.01, 50
     rng = np.random.default_rng(seed)
     cpos = np.zeros((n, m.n_pairs, m.dimension), dtype=complex)
-    scale = m.noise_scale(dt)
     for _ in range(steps):
-        ens_observation_step(m, cpos, dt, ens_pair_noise(m, rng, scale, n), out=cpos)
+        ens_observation_step(m, cpos, dt, ens_pair_noise(m, rng, dt, n), out=cpos)
     sq = ens_norm_m(m, cpos) ** 2
     trace = np.real(np.trace(m.energy, axis1=1, axis2=2))
     closed = 2.0 * float((m.weight_m * trace    # twice the pair rows
@@ -330,7 +342,7 @@ def test_noiseless_flow_fourth_order(default_model):
 
 def observation_noise(m, rng, dt, lead_shape=()):
     """The exact OU increment over dt that drives one observation step."""
-    return pair_noise(m, rng, m.noise_scale(dt), lead_shape)
+    return pair_noise(m, rng, dt, lead_shape)
 
 
 def test_observation_step_noiseless_limit():
@@ -391,12 +403,11 @@ def test_observation_step_is_the_field_seen_from_an_euler_tracer(d, projection):
     v = ens_pair_noise(m, rng, None, n)
     x = np.zeros((n, d))
     z = v.copy()
-    scale = m.noise_scale(dt)
     worst = 0.0
     for _ in range(400):
         x = x + origin_value(z) * dt
         shift = np.exp(1j * (x @ m.wavevectors.T))[..., None]
-        eta = ens_pair_noise(m, rng, scale, n)
+        eta = ens_pair_noise(m, rng, dt, n)
         v = v * m.decay(dt)[:, None] + eta
         z = ens_observation_step(m, z, dt, eta * shift)
         want = v * shift

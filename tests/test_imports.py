@@ -144,7 +144,8 @@ def test_public_definitions_no_src_module_reads_are_test_oracles():
     assert unlisted_and_stale(src, TEST_ORACLES) == (set(), set())
 
 
-# tracer steps call field._eval directly: a call through the public evaluate
+# tracer steps call field._eval directly, for their RK4 stages and for the
+# first stage of a run's unrecorded steps: a call through the public evaluate
 # would add to evaluate's call count, which the bench's run trace records.
 ALLOWED_PRIVATE_IMPORTS = {("tracerflow.tracer", "tracerflow.field", "_eval")}
 

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from tracerflow import (advect_step, build_power_law_spectrum, evaluate, run_lagrangian,
                         run_trajectory_ensemble, sample_stationary, shift_field,
                         sobolev_norm, stokes_drift_estimate)
+from tracerflow import field
 from tracerflow.field import ou_exact_step
 from tracerflow.tracer import (TrajectoryRecord, csv_columns,
                                displacement_identity_gap,
@@ -52,7 +53,7 @@ def test_tracer_stationary_in_dead_field():
     x, f = np.zeros(2), np.zeros((m.n_pairs, 2), complex)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        delta, f = advect_step(x, m, f, 1e-2, rng)
+        delta, f = advect_step(x, m, f, evaluate(m, f, x), 1e-2, rng)
         assert not np.any(delta)
         x = wrap_torus(x + delta)
     assert not np.any(f)
@@ -64,7 +65,7 @@ def test_frozen_field_matches_scalar_ode_oracle():
     x, f = np.zeros(2), frozen
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        delta, f = advect_step(x, m, f, 1e-3, rng)
+        delta, f = advect_step(x, m, f, evaluate(m, f, x), 1e-3, rng)
         x = wrap_torus(x + delta)
     sol = solve_ivp(lambda t, y: [2 * a * math.cos(y[0])], (0.0, 1.0), [0.0],
                     rtol=1e-12, atol=1e-14)
@@ -79,7 +80,7 @@ def test_frozen_field_step_halving_is_fourth_order():
         x, f = np.zeros(2), frozen
         rng = np.random.default_rng(0)
         for _ in range(int(round(T / dt))):
-            delta, f = advect_step(x, m, f, dt, rng)
+            delta, f = advect_step(x, m, f, evaluate(m, f, x), dt, rng)
             x = wrap_torus(x + delta)
         return x[0]
 
@@ -101,7 +102,8 @@ def test_run_in_dead_field_records_zeros():
 
 def rec_idx_run(m, T, dt, record_every, seed):
     """The record loop run_lagrangian once had: a list of record steps walked
-    by a guarded index, and a closure that fills one record from the state."""
+    by a guarded index, and a closure that fills one record from the state.
+    Every step evaluates its first RK4 stage k1 afresh."""
     rng = np.random.default_rng(seed)
     f = sample_stationary(m, rng)
     x, disp = np.zeros(m.dimension), np.zeros(m.dimension)
@@ -135,12 +137,33 @@ def rec_idx_run(m, T, dt, record_every, seed):
 @pytest.mark.parametrize("record_every", [1, 3, 7, 20, 25])
 def test_record_grid_is_the_rec_idx_loop_byte_for_byte(small_model, record_every):
     # 3 and 7 leave a remainder, so the last step is appended; 25 > n_steps
-    # records only steps 0 and 20
+    # records only steps 0 and 20.  The run takes k1 from the recorded
+    # velocity on record steps and evaluates it on the others, the reference
+    # on every step, so a stale k1 on either kind of step shows here.
     rec = run_lagrangian(small_model, T=0.2, dt=0.01, record_every=record_every, seed=11)
     ref = rec_idx_run(small_model, 0.2, 0.01, record_every, 11)
     got = [rec.times, rec.positions, rec.displacements, rec.velocities, rec.field_norms]
     assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
     assert rec.times.size == 20 // record_every + 1 + bool(20 % record_every)
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_a_run_draws_one_stationary_field_and_two_increments_a_step(small_model, monkeypatch,
+                                                                     record_every):
+    m, n, dt = small_model, 25, 0.02
+    draws, real = [], field.pair_noise
+
+    def spy(model, rng, *args):
+        draws.append(args)
+        return real(model, rng, *args)
+
+    monkeypatch.setattr(field, "pair_noise", spy)
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    run_lagrangian(m, n * dt, dt, record_every, rng)   # default_rng passes a Generator through
+    assert draws == [()] + [(dt / 2.0, ())] * (2 * n)
+    for _ in range(1 + 2 * n):
+        ref.standard_normal((m.n_pairs, m.noise_factor.shape[-1], 2))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_whole_float_record_every_is_its_int(small_model):
@@ -213,6 +236,18 @@ def test_drift_estimate_rejects_mismatched_horizons():
         stokes_drift_estimate(recs)
 
 
+def repr_rows(run_id, record):
+    """The CSV lines built float by float: repr(float(v)) for each value."""
+    rows = []
+    for i in range(record.times.size):
+        vals = [str(run_id), repr(float(record.times[i]))]
+        for arr in (record.positions, record.displacements, record.velocities):
+            vals += [repr(float(v)) for v in arr[i]]
+        vals.append(repr(float(record.field_norms[i])))
+        rows.append(",".join(vals))
+    return rows
+
+
 def test_csv_rows_match_column_layout(small_model):
     rec = run_lagrangian(small_model, T=0.1, dt=0.01, record_every=2, seed=10)
     cols = csv_columns(2)
@@ -223,6 +258,18 @@ def test_csv_rows_match_column_layout(small_model):
     assert len(first) == len(cols)
     assert first[0] == "3"
     assert float(first[1]) == rec.times[0]
+    assert rows == repr_rows(3, rec)
+    # other dimensions, signed zeros, subnormals and huge values
+    for d in (1, 3):
+        n = 4
+        rng = np.random.default_rng(d)
+        x, disp, v = rng.standard_normal((3, n, d)) * 10.0 ** rng.integers(-300, 300, (3, n, d))
+        x[0, 0], disp[1, -1], v[-1, 0] = -0.0, 5e-324, 1e300
+        rec = TrajectoryRecord(np.array([0.0, 5e-324, 0.1, 1e300]), x, disp, v,
+                               np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0]), seed=0, dt=0.1)
+        rows = list(trajectory_csv_rows(11, rec))
+        assert len(rows[0].split(",")) == len(csv_columns(d))
+        assert rows == repr_rows(11, rec)
 
 
 def test_run_validates_arguments(small_model):
