@@ -117,7 +117,7 @@ class SpectrumModel:
     def draw_factor(self, dt: float | None) -> np.ndarray:
         """The pair-noise factor noise_factor * sqrt(1 - exp(-2*gamma*dt)) / sqrt(2)
         per row, (n_pairs, d, r); dt None is the stationary law,
-        noise_factor / sqrt(2).  Memoized on dt (hot path)."""
+        noise_factor / sqrt(2).  Memoized on dt (hot path), so it is read-only."""
         out = self._draw_cache.get(dt)
         if out is None:
             if dt is None:
@@ -125,6 +125,7 @@ class SpectrumModel:
             else:
                 scale = np.sqrt(-np.expm1(-2.0 * self.gamma * dt))
                 out = self.noise_factor * (scale[:, None, None] * _RSQRT2)
+            out.flags.writeable = False
             self._draw_cache[dt] = out
         return out
 
