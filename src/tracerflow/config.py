@@ -223,7 +223,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                     k % sim.record_every and k != round(horizons[-1] / sim.dt)):
                 raise ConfigError(f"probe.horizons: {t} is off the grid of dt * record_every")
             if k <= prev:
-                raise ConfigError(f"probe.horizons: {t} rounds to the same step of simulation.dt as the one before")
+                raise ConfigError(f"probe.horizons: {t} rounds to the same step of "
+                                  "simulation.dt as the one before")
             prev = k
     if not 1 <= pr.chain_n_max <= MAX_EXACT_DEPTH:
         raise ConfigError(f"probe.chain_n_max: must lie in [1, {MAX_EXACT_DEPTH}]")
